@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <numeric>
 
 #include "lacb/common/stopwatch.h"
 #include "lacb/obs/obs.h"
@@ -13,55 +15,74 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Potential-based shortest-augmenting-path Kuhn–Munkres, minimizing total
-// cost; rows are 1..n, columns 1..m, n <= m. Every row gets a column.
-// Classic formulation (e.g. e-maxx); O(n²m). `scan_steps` (when non-null)
-// accumulates the Dijkstra-like column scans — the quantity that actually
-// grows cubically and that perf PRs need to watch. `stats` (when non-null)
-// additionally collects phase timings and dual-update counts; both outputs
-// are gated so the null path adds no clock reads to the inner loops.
-Assignment SolveMinCost(const la::Matrix& cost, uint64_t* scan_steps,
+// Potential-based shortest-augmenting-path Kuhn–Munkres, minimizing the
+// total cost −weights(i, j); rows are 1..n, columns 1..m, n <= m. Every row
+// gets a column. Classic formulation (e.g. e-maxx); O(n²m). It returns the
+// textbook loop's columns, objective bits and step counts while skipping
+// that loop's wasted work (docs/matching.md, "Exact KM kernel"). Weights
+// must be finite.
+// `scan_steps` (when non-null) accumulates the Dijkstra-like column scans —
+// the quantity that actually grows cubically and that perf PRs need to
+// watch. `stats` (when non-null) additionally collects phase timings and
+// dual-update counts; both outputs are gated so the null path adds no clock
+// reads to the inner loops.
+Assignment SolveMinCost(const la::Matrix& weights, uint64_t* scan_steps,
                         SolveStats* stats) {
-  size_t n = cost.rows();
-  size_t m = cost.cols();
+  size_t n = weights.rows();
+  size_t m = weights.cols();
   const bool collect = stats != nullptr;
   uint64_t steps = 0;
   Stopwatch phase_sw;
-  std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
+  std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0), minv(m + 1);
   std::vector<size_t> p(m + 1, 0), way(m + 1, 0);
+  // Columns not yet reached this row, ascending (so the first minimum wins
+  // ties exactly as in a full 1..m scan), and the reached ones, column 0
+  // (the row's own slot) first.
+  std::vector<size_t> free_cols, used_cols;
+  used_cols.reserve(m + 1);
   for (size_t i = 1; i <= n; ++i) {
     p[0] = i;
     size_t j0 = 0;
-    std::vector<double> minv(m + 1, kInf);
-    std::vector<bool> used(m + 1, false);
+    std::fill(minv.begin(), minv.end(), kInf);
+    free_cols.resize(m);
+    std::iota(free_cols.begin(), free_cols.end(), size_t{1});
+    used_cols.clear();
+    // The previous step's delta, still owed by every free column's minv.
+    double owed = 0.0;
     uint64_t steps_before = steps;
     if (collect) phase_sw.Restart();
     do {
       ++steps;
-      used[j0] = true;
+      used_cols.push_back(j0);
       size_t i0 = p[j0];
+      const double* row = weights.RowPtr(i0 - 1);
+      const double u0 = u[i0];
       size_t j1 = 0;
+      size_t k1 = 0;
       double delta = kInf;
-      for (size_t j = 1; j <= m; ++j) {
-        if (used[j]) continue;
-        double cur = cost(i0 - 1, j - 1) - u[i0] - v[j];
-        if (cur < minv[j]) {
-          minv[j] = cur;
+      for (size_t k = 0; k < free_cols.size(); ++k) {
+        size_t j = free_cols[k];
+        double mv = minv[j] - owed;
+        double cur = -row[j - 1] - u0 - v[j];
+        if (cur < mv) {
+          mv = cur;
           way[j] = j0;
         }
-        if (minv[j] < delta) {
-          delta = minv[j];
+        minv[j] = mv;
+        if (mv < delta) {
+          delta = mv;
           j1 = j;
+          k1 = k;
         }
       }
-      for (size_t j = 0; j <= m; ++j) {
-        if (used[j]) {
-          u[p[j]] += delta;
-          v[j] -= delta;
-        } else {
-          minv[j] -= delta;
-        }
+      // Each used column holds a distinct row, so the order of these
+      // updates cannot change any bit.
+      for (size_t j : used_cols) {
+        u[p[j]] += delta;
+        v[j] -= delta;
       }
+      free_cols.erase(free_cols.begin() + static_cast<std::ptrdiff_t>(k1));
+      owed = delta;
       j0 = j1;
     } while (p[j0] != 0);
     if (collect) {
@@ -84,14 +105,18 @@ Assignment SolveMinCost(const la::Matrix& cost, uint64_t* scan_steps,
     }
   }
   if (collect) stats->iterations += steps;
+  // Summed in the cost domain, then negated, so even the sign of a zero
+  // total matches a solve over an explicit cost matrix.
+  double cost = 0.0;
   Assignment out;
   out.col_of_row.assign(n, kUnmatched);
   for (size_t j = 1; j <= m; ++j) {
     if (p[j] != 0) {
       out.col_of_row[p[j] - 1] = static_cast<int64_t>(j - 1);
-      out.total_weight += cost(p[j] - 1, j - 1);
+      cost += -weights(p[j] - 1, j - 1);
     }
   }
+  out.total_weight = -cost;
   if (scan_steps != nullptr) *scan_steps += steps;
   return out;
 }
@@ -108,16 +133,17 @@ Result<Assignment> MaxWeightAssignment(const la::Matrix& weights,
   LACB_TRACE_SPAN("km_solve");
   Stopwatch total_sw;
   Stopwatch build_sw;
-  la::Matrix cost(weights.rows(), weights.cols());
-  for (size_t i = 0; i < weights.rows(); ++i) {
-    for (size_t j = 0; j < weights.cols(); ++j) {
-      cost(i, j) = -weights(i, j);
+  // A NaN or infinite weight would keep the scan from ever reaching a free
+  // column, so the solve would never end.
+  for (double w : weights.data()) {
+    if (!std::isfinite(w)) {
+      return Status::InvalidArgument(
+          "MaxWeightAssignment requires finite weights");
     }
   }
   double build_seconds = build_sw.ElapsedSeconds();
   uint64_t scan_steps = 0;
-  Assignment a = SolveMinCost(cost, &scan_steps, stats);
-  a.total_weight = -a.total_weight;
+  Assignment a = SolveMinCost(weights, &scan_steps, stats);
   if (stats != nullptr) {
     SolveStats one;
     one.solver = "km";

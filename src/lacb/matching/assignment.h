@@ -36,15 +36,19 @@ struct Assignment {
 ///
 /// `weights` is rows×cols with rows <= cols; every row is matched (the
 /// paper's complete-bipartite setting — edges may carry negative refined
-/// utilities and are still usable). O(rows²·cols) time. When `stats` is
-/// non-null, per-solve introspection (scan steps, dual updates, phase
-/// timings) is merged into it; the null default skips all bookkeeping.
+/// utilities and are still usable). The solver reads `weights` in place,
+/// negating each entry as it loads it, so no cost matrix is built.
+/// O(rows²·cols) time. InvalidArgument if any weight is NaN or infinite.
+/// When `stats` is non-null, per-solve introspection (scan steps, dual
+/// updates, phase timings — the build phase is the finiteness check) is
+/// merged into it; the null default skips all bookkeeping.
 Result<Assignment> MaxWeightAssignment(const la::Matrix& weights,
                                        SolveStats* stats = nullptr);
 
 /// \brief Same, but rows may be left unmatched when every remaining edge
 /// would decrease the total (achieved by clamping gains at zero via a
 /// virtual skip column per row).
+/// InvalidArgument on any non-finite weight, as above.
 Result<Assignment> MaxWeightAssignmentAllowSkip(const la::Matrix& weights,
                                                 SolveStats* stats = nullptr);
 

@@ -308,20 +308,19 @@ struct FleetRun {
 };
 
 // Pumps the whole horizon; `chaos` (if set) runs once after submitting
-// batch kill_at of kill_day.
+// batch kill_at of kill_day, and `pre_chaos` (if set) right before it.
 Status RunFleet(cluster::Coordinator* coord, size_t kill_day, size_t kill_at,
-                const std::function<void()>& chaos, FleetRun* out) {
+                const std::function<void()>& chaos, FleetRun* out,
+                const std::function<void()>& pre_chaos = nullptr) {
   LACB_RETURN_NOT_OK(coord->Start());
   const size_t batches = coord->BatchesPerDay();
-  bool fired = false;
   for (size_t day = 0; day < coord->NumDays(); ++day) {
     LACB_RETURN_NOT_OK(coord->OpenDay(day));
     for (size_t j = 0; j < batches; ++j) {
+      const bool chaos_now = day == kill_day && j == kill_at;
+      if (pre_chaos && chaos_now) pre_chaos();
       LACB_RETURN_NOT_OK(coord->SubmitScheduledBatch(j));
-      if (chaos && !fired && day == kill_day && j == kill_at) {
-        fired = true;
-        chaos();
-      }
+      if (chaos && chaos_now) chaos();
     }
     LACB_RETURN_NOT_OK(coord->CloseDay());
   }
@@ -436,16 +435,23 @@ TEST(ClusterTest, SigkillFailoverConservesAndRecovers) {
   ASSERT_EQ(baseline.daily_utility.size(), 3u);
 
   obs::ScopedTelemetry telemetry;
-  auto coord =
-      cluster::Coordinator::Create(FleetOptions(TempDirFor("sigkill"), 3));
+  cluster::CoordinatorOptions opts = FleetOptions(TempDirFor("sigkill"), 3);
+  // Room for every ticket up to the kill: batch 10 must never wait on the
+  // frozen shard's window, or the heartbeat deadline would declare the
+  // shard dead before the SIGKILL lands. Each ticket is still solved as
+  // its own batch, so the results match the default-window baseline.
+  opts.window = 16;
+  auto coord = cluster::Coordinator::Create(opts);
   ASSERT_TRUE(coord.ok());
   cluster::Coordinator* c = coord->get();
   FleetRun killed;
-  // Kill shard 1 right after batch 10 of day 1 went out: its window holds
-  // freshly-submitted unacked tickets, so the failover must redrive.
+  // Freeze shard 1 before batch 10 of day 1 goes out and SIGKILL it right
+  // after: the frozen shard cannot ack batch 10's ticket, so its window
+  // always holds unacked work when it dies and the failover must redrive.
   Status s = RunFleet(
       c, 1, 10,
-      [c] { ASSERT_TRUE(c->KillShard(1, /*sigstop=*/false).ok()); }, &killed);
+      [c] { ASSERT_TRUE(c->KillShard(1, /*sigstop=*/false).ok()); }, &killed,
+      [c] { ASSERT_TRUE(c->KillShard(1, /*sigstop=*/true).ok()); });
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   ExpectConservation(killed.stats);
