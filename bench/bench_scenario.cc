@@ -178,7 +178,7 @@ Status Run() {
 
       serve::ServedRunOptions options;
       options.mode = serve::LoadMode::kScenario;
-      options.flash_base_rate = 40000.0;  // ~15 ms of arrivals per day
+      options.poisson_rate = 40000.0;  // ~15 ms of arrivals per day
       options.serve.scenario = std::make_shared<scenario::CompiledScenario>(
           std::move(compiled));
       options.serve.num_workers = 2;

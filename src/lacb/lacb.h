@@ -36,8 +36,6 @@
 #include "lacb/la/linalg.h"
 #include "lacb/la/matrix.h"
 #include "lacb/matching/assignment.h"
-#include "lacb/matching/auction.h"
-#include "lacb/matching/hopcroft_karp.h"
 #include "lacb/matching/min_cost_flow.h"
 #include "lacb/matching/selection.h"
 #include "lacb/matching/two_sided.h"

@@ -1,11 +1,12 @@
 // Per-solve introspection record shared by all matching backends.
 //
-// Every solver (Kuhn–Munkres, auction, min-cost flow, Hopcroft–Karp) can
-// optionally fill one of these describing the problem it solved and the
-// work it did — the evidence a per-batch solver auto-selector needs and
-// the payload behind the serve.solver_* instruments. Collection is opt-in
-// via a nullable out-parameter so the default solve path does no extra
-// clock reads or bookkeeping.
+// Every solver (Kuhn–Munkres, min-cost flow, the parallel b-Suitor
+// approximation, the greedy fallback) can optionally fill one of these
+// describing the problem it solved and the work it did — the evidence a
+// per-batch solver auto-selector needs and the payload behind the
+// serve.solver_* instruments. Collection is opt-in via a nullable
+// out-parameter so the default solve path does no extra clock reads or
+// bookkeeping.
 
 #ifndef LACB_MATCHING_SOLVE_STATS_H_
 #define LACB_MATCHING_SOLVE_STATS_H_
@@ -18,8 +19,8 @@ namespace lacb::matching {
 
 /// \brief Diagnostics for one solver invocation (or a merged aggregate).
 struct SolveStats {
-  /// Which backend produced this record ("km", "auction", "mcf", "hk",
-  /// "greedy", or "mixed" after merging across backends).
+  /// Which backend produced this record ("km", "mcf", "bmatch", "greedy",
+  /// or "mixed" after merging across backends).
   std::string solver;
   /// Problem size. For bipartite solvers: rows × cols of the weight matrix
   /// actually solved (after any padding). For min-cost flow: nodes × edges.
@@ -27,15 +28,15 @@ struct SolveStats {
   size_t cols = 0;
   /// Number of merged invocations (1 for a single solve).
   uint64_t solves = 0;
-  /// Backend-specific unit of inner work: KM column scans, auction bids,
-  /// Dijkstra queue pops (flow), BFS phases (Hopcroft–Karp).
+  /// Backend-specific unit of inner work: KM column scans, Dijkstra queue
+  /// pops (flow).
   uint64_t iterations = 0;
   /// Augmenting paths / assignments completed.
   uint64_t augmenting_paths = 0;
   /// Dual-variable (potential / price) adjustments applied.
   uint64_t dual_updates = 0;
-  /// Objective of the returned solution (total weight, flow cost, or
-  /// matching cardinality depending on the backend).
+  /// Objective of the returned solution (total weight or flow cost
+  /// depending on the backend).
   double objective = 0.0;
   /// Parallel approximate backend ("bmatch"): barrier-synchronized
   /// proposal rounds, proposal attempts across all threads, and work items

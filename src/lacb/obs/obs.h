@@ -14,7 +14,6 @@
 #include "lacb/obs/context.h"
 #include "lacb/obs/event_trace.h"
 #include "lacb/obs/exposition.h"
-#include "lacb/obs/forecast.h"
 #include "lacb/obs/json.h"
 #include "lacb/obs/metrics.h"
 #include "lacb/obs/profiler.h"

@@ -110,7 +110,9 @@ Status ScenarioSpec::Validate() const {
           "flash window length_fraction must be > 0 (zero-length windows "
           "are rejected, not ignored)");
     }
-    if (fw.start_fraction < 0.0 || fw.start_fraction >= 1.0) {
+    // Negated form so a NaN start (which compares false both ways) is
+    // rejected instead of silently never firing.
+    if (!(fw.start_fraction >= 0.0 && fw.start_fraction < 1.0)) {
       return Status::InvalidArgument(
           "flash window start_fraction must be in [0, 1)");
     }

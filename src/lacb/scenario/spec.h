@@ -11,7 +11,7 @@
 //   * arrival shaping — day-of-week seasonality and intra-day diurnal
 //     curves reshape the request schedule; flash-crowd windows and
 //     Pareto inter-arrival gaps shape the *pacing* of open-loop load
-//     generation (generalizing serve::LoadMode::kFlashCrowd).
+//     generation (serve::LoadMode::kScenario).
 //   * two-sided mode — requests carry budgets and matching limits that
 //     the matching layer enforces (matching::TwoSidedExact/Approx).
 //

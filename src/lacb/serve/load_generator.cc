@@ -45,133 +45,47 @@ Status PumpFreeRun(AssignmentService* service,
   return Status::OK();
 }
 
-Status PumpPoisson(AssignmentService* service,
-                   const std::vector<std::vector<sim::Request>>& batches,
-                   size_t day, const ServedRunOptions& options) {
+// Open-loop arrivals at `poisson_rate`. With a scenario, its pacing
+// multiplier (mean-normalized diurnal curve × day-of-week scale × every
+// active flash window) modulates the rate per arrival slot and the spec's
+// Pareto tail exponent (> 1) switches the gaps heavy-tailed; without one
+// the gaps are exponential at the plain rate. Pacing uses absolute
+// deadlines (sleep_until against an accumulated schedule): a relative
+// sleep_for per arrival adds up every wakeup's overshoot and delivers well
+// under the asked rate.
+Status PumpOpenLoop(AssignmentService* service,
+                    const std::vector<std::vector<sim::Request>>& batches,
+                    size_t day, const ServedRunOptions& options,
+                    const scenario::CompiledScenario* sc) {
   if (options.poisson_rate <= 0.0) return PumpFreeRun(service, batches);
+  size_t total = 0;
+  for (const std::vector<sim::Request>& batch : batches) {
+    total += batch.size();
+  }
   // Per-day fork: the arrival clock is deterministic and independent of
   // how many arrivals earlier days consumed.
   Rng rng = Rng(options.poisson_seed).Fork(day);
-  const double mean_gap = 1.0 / options.poisson_rate;
-  for (const std::vector<sim::Request>& batch : batches) {
-    for (const sim::Request& r : batch) {
-      // Exponential inter-arrival gap via inverse CDF.
-      double u = rng.Uniform();
-      if (u < 1e-12) u = 1e-12;
-      double gap = -mean_gap * std::log(u);
-      std::this_thread::sleep_for(std::chrono::duration<double>(gap));
-      service->Submit(r);  // open-loop: shed when admission refuses
-    }
-  }
-  return Status::OK();
-}
-
-// Open-loop flash-crowd arrivals: a Poisson-like baseline with one
-// contiguous burst window at burst_multiplier times the base rate, and
-// optionally heavy-tailed (Pareto) gaps. Pacing uses absolute deadlines
-// (sleep_until against an accumulated schedule) instead of relative
-// sleep_for: at burst rates the per-arrival sleep overshoot would
-// otherwise accumulate and quietly flatten the burst the mode exists to
-// produce.
-Status PumpFlashCrowd(AssignmentService* service,
-                      const std::vector<std::vector<sim::Request>>& batches,
-                      size_t day, const ServedRunOptions& options) {
-  if (options.burst_fraction <= 0.0) {
-    // A zero-length window silently degenerating to "no burst" hides a
-    // misconfigured bench; reject it outright.
-    return Status::InvalidArgument(
-        "flash-crowd burst window is zero-length (burst_fraction must be "
-        "> 0; use kPoisson for burst-free open-loop load)");
-  }
-  if (options.burst_start_fraction < 0.0 ||
-      options.burst_start_fraction >= 1.0) {
-    return Status::InvalidArgument(
-        "flash-crowd burst_start_fraction must lie in [0, 1): the window "
-        "starts inside the day it bursts");
-  }
-  if (options.flash_base_rate <= 0.0) return PumpFreeRun(service, batches);
-  size_t total = 0;
-  for (const std::vector<sim::Request>& batch : batches) {
-    total += batch.size();
-  }
-  const size_t burst_begin = static_cast<size_t>(
-      options.burst_start_fraction * static_cast<double>(total));
-  // A window that begins in the day's final pacing interval is truncated
-  // at the day boundary — each day's burst indices are its own; the
-  // remainder never carries into the next day's schedule.
-  const size_t burst_end = std::min(
-      total, burst_begin + static_cast<size_t>(std::ceil(
-                 options.burst_fraction * static_cast<double>(total))));
-  Rng rng = Rng(options.poisson_seed).Fork(day);
-  auto deadline = std::chrono::steady_clock::now();
-  size_t index = 0;
-  for (const std::vector<sim::Request>& batch : batches) {
-    for (const sim::Request& r : batch) {
-      const bool in_burst = index >= burst_begin && index < burst_end;
-      const double rate = in_burst
-                              ? options.flash_base_rate *
-                                    std::max(1.0, options.burst_multiplier)
-                              : options.flash_base_rate;
-      const double mean_gap = 1.0 / rate;
-      double u = rng.Uniform();
-      if (u < 1e-12) u = 1e-12;
-      double gap;
-      if (options.pareto_shape > 1.0) {
-        // Pareto via inverse CDF, scale chosen so the mean matches the
-        // exponential gap: E[gap] = xm·a/(a−1) = mean_gap.
-        const double a = options.pareto_shape;
-        const double xm = mean_gap * (a - 1.0) / a;
-        gap = xm * std::pow(u, -1.0 / a);
-      } else {
-        gap = -mean_gap * std::log(u);
-      }
-      deadline += std::chrono::duration_cast<
-          std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(gap));
-      std::this_thread::sleep_until(deadline);
-      service->Submit(r);  // open-loop: shed when admission refuses
-      ++index;
-    }
-  }
-  return Status::OK();
-}
-
-// Open-loop scenario-shaped arrivals: the compiled scenario's pacing
-// multiplier (mean-normalized diurnal curve × day-of-week scale × every
-// active flash window) modulates the base rate per arrival slot, and the
-// spec's Pareto tail exponent (> 1) switches the gaps heavy-tailed. The
-// same absolute-deadline pacing as PumpFlashCrowd, generalized from one
-// hard-coded window to the spec's reusable schedule.
-Status PumpScenario(AssignmentService* service,
-                    const std::vector<std::vector<sim::Request>>& batches,
-                    size_t day, const ServedRunOptions& options) {
-  const scenario::CompiledScenario* sc = options.serve.scenario.get();
-  if (sc == nullptr) {
-    return Status::InvalidArgument(
-        "LoadMode::kScenario requires ServeOptions::scenario");
-  }
-  if (options.flash_base_rate <= 0.0) return PumpFreeRun(service, batches);
-  size_t total = 0;
-  for (const std::vector<sim::Request>& batch : batches) {
-    total += batch.size();
-  }
-  Rng rng = Rng(options.poisson_seed).Fork(day);
-  const double pareto = sc->ParetoShape();
+  const double pareto = sc != nullptr ? sc->ParetoShape() : 0.0;
   auto deadline = std::chrono::steady_clock::now();
   size_t index = 0;
   for (const std::vector<sim::Request>& batch : batches) {
     for (const sim::Request& r : batch) {
       const double mult =
-          std::max(1e-9, sc->PacingMultiplier(day, index, total));
-      const double mean_gap = 1.0 / (options.flash_base_rate * mult);
+          sc != nullptr
+              ? std::max(1e-9, sc->PacingMultiplier(day, index, total))
+              : 1.0;
+      const double mean_gap = 1.0 / (options.poisson_rate * mult);
       double u = rng.Uniform();
       if (u < 1e-12) u = 1e-12;
       double gap;
       if (pareto > 1.0) {
+        // Pareto via inverse CDF, scale chosen so the mean matches the
+        // exponential gap: E[gap] = xm·a/(a−1) = mean_gap.
         const double a = pareto;
         const double xm = mean_gap * (a - 1.0) / a;
         gap = xm * std::pow(u, -1.0 / a);
       } else {
+        // Exponential inter-arrival gap via inverse CDF.
         gap = -mean_gap * std::log(u);
       }
       deadline += std::chrono::duration_cast<
@@ -202,11 +116,14 @@ Status PumpDay(AssignmentService* service, size_t day,
     case LoadMode::kFreeRunReplay:
       return PumpFreeRun(service, schedule[day]);
     case LoadMode::kPoisson:
-      return PumpPoisson(service, schedule[day], day, options);
-    case LoadMode::kFlashCrowd:
-      return PumpFlashCrowd(service, schedule[day], day, options);
+      return PumpOpenLoop(service, schedule[day], day, options, nullptr);
     case LoadMode::kScenario:
-      return PumpScenario(service, schedule[day], day, options);
+      if (options.serve.scenario == nullptr) {
+        return Status::InvalidArgument(
+            "LoadMode::kScenario requires ServeOptions::scenario");
+      }
+      return PumpOpenLoop(service, schedule[day], day, options,
+                          options.serve.scenario.get());
   }
   return Status::Internal("unknown load mode");
 }

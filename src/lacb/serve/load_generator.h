@@ -12,17 +12,14 @@
 //    micro-batcher's size/deadline limits shape the batches — the
 //    saturation mode the throughput bench measures.
 //
-//  - The Poisson generator is an open-loop arrival process: exponential
-//    inter-arrival gaps at a target rate, submitted on the wall clock
-//    regardless of downstream progress (arrivals beyond the admission
-//    bound are shed — that is the point of open-loop load). A
-//    non-positive rate degenerates to free-run pumping.
-//
-//  - The flash-crowd generator layers a burst on the open-loop process: a
-//    contiguous window of each day's schedule arrives at a multiple of the
-//    base rate (optionally with heavy-tailed Pareto gaps), which is the
-//    stimulus the forecasting plane's burst/horizon detectors are scored
-//    against (bench_forecast).
+//  - The open-loop generator submits on the wall clock regardless of
+//    downstream progress (arrivals beyond the admission bound are shed —
+//    that is the point of open-loop load), each arrival at an absolute
+//    deadline so the offered rate is the asked one. Poisson mode draws
+//    exponential inter-arrival gaps at a fixed rate; scenario mode
+//    modulates that rate with a compiled scenario's pacing curve (diurnal,
+//    day-of-week, flash windows) and optional Pareto gaps. A non-positive
+//    rate degenerates to free-run pumping.
 //
 // RunPolicyServed drives a whole run — days opened/closed around the
 // chosen load mode — and aggregates the same PolicyRunResult the offline
@@ -46,10 +43,7 @@ enum class LoadMode {
   kLockstepReplay,  ///< Batch-by-batch, drained between scheduled batches.
   kFreeRunReplay,   ///< Pump each day as fast as admission allows.
   kPoisson,         ///< Open-loop Poisson arrivals at `poisson_rate`.
-  kFlashCrowd,      ///< Open-loop arrivals at `flash_base_rate` with a
-                    ///< contiguous burst window at a rate multiple —
-                    ///< optionally heavy-tailed gaps (see pareto_shape).
-  kScenario,        ///< Open-loop arrivals at `flash_base_rate` modulated
+  kScenario,        ///< Open-loop arrivals at `poisson_rate` modulated
                     ///< by the compiled scenario's pacing curve (diurnal ×
                     ///< day-of-week × flash windows) with the spec's
                     ///< Pareto tail; requires ServeOptions::scenario
@@ -60,28 +54,12 @@ enum class LoadMode {
 struct ServedRunOptions {
   ServeOptions serve;
   LoadMode mode = LoadMode::kLockstepReplay;
-  /// Mean arrivals per second for LoadMode::kPoisson; <= 0 pumps with no
-  /// pacing (saturation).
+  /// Mean arrivals per second of the open-loop modes (LoadMode::kPoisson,
+  /// and the base rate kScenario modulates); <= 0 pumps with no pacing
+  /// (saturation).
   double poisson_rate = 0.0;
-  /// Seed of the Poisson arrival clock (independent of the dataset seed).
+  /// Seed of the open-loop arrival clock (independent of the dataset seed).
   uint64_t poisson_seed = 1234;
-
-  // --- Flash-crowd mode (LoadMode::kFlashCrowd) ---
-
-  /// Baseline arrivals per second outside the burst window; <= 0 pumps
-  /// with no pacing (saturation), like kPoisson.
-  double flash_base_rate = 0.0;
-  /// Burst arrival rate = flash_base_rate × burst_multiplier.
-  double burst_multiplier = 8.0;
-  /// The burst window covers the contiguous requests whose index falls in
-  /// [burst_start_fraction, burst_start_fraction + burst_fraction) of each
-  /// day's schedule.
-  double burst_start_fraction = 0.4;
-  double burst_fraction = 0.3;
-  /// > 1: draw heavy-tailed Pareto inter-arrival gaps with the same mean
-  /// as the exponential ones (shape a, scale mean·(a−1)/a) — occasional
-  /// long gaps between arrival clumps. <= 1 (default): exponential gaps.
-  double pareto_shape = 0.0;
   /// Wall-clock cadence of time-series samples over the run's registry
   /// (queue depth, carryover, shed, ... — see sample_instruments); zero
   /// disables sampling. The series lands in the result's

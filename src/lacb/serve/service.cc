@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string_view>
 #include <thread>
@@ -56,128 +55,7 @@ Result<std::vector<BrokerSlot>> ReadBrokerSlots(persist::ByteReader* r) {
   return slots;
 }
 
-// Horizons exported as gauges are capped so downstream JSON/Prometheus
-// consumers never see astronomically large (or infinite) values; anything
-// beyond ~11 days is operationally equivalent to "no horizon".
-constexpr double kHorizonGaugeCap = 1e6;
-
-// Lead time is a signed difference (a late signal is a negative lead), so
-// its "not yet measurable" sentinel sits far outside the plausible range
-// instead of at -1.
-constexpr double kNoLeadTime = -1e6;
-
-double CapHorizon(double h) {
-  if (h < 0.0) return obs::kNoHorizon;
-  return std::min(h, kHorizonGaugeCap);
-}
-
-std::string FormatSeconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1fs", s);
-  return buf;
-}
-
 }  // namespace
-
-// Estimators, detectors, lead-time stamps, and instrument pointers of the
-// forecasting plane — allocated at Start() only when
-// ServeOptions::forecasting is enabled, so the default path carries a null
-// pointer and nothing else. All mutable state is guarded by `mu` except
-// `epoch` (immutable) and the `shed_stamped` fast-path flag Submit checks
-// before taking the lock.
-struct AssignmentService::ForecastRuntime {
-  ForecastRuntime(const ForecastOptions& opt, size_t num_brokers)
-      : epoch(std::chrono::steady_clock::now()),
-        brokers(num_brokers,
-                obs::HorizonEstimator::Options{opt.alpha, opt.beta}),
-        queue_depth(opt.alpha, opt.beta),
-        arrival_rate(opt.alpha, opt.beta),
-        burst(obs::BurstDetector::Options{opt.burst_window,
-                                          opt.burst_z_threshold,
-                                          opt.burst_min_ratio,
-                                          /*min_samples=*/8}),
-        solve_drift(obs::DriftDetector::Options{opt.cusum_slack,
-                                                opt.cusum_threshold,
-                                                /*warmup=*/16}),
-        admission_drift(obs::DriftDetector::Options{opt.cusum_slack,
-                                                    opt.cusum_threshold,
-                                                    /*warmup=*/16}) {}
-
-  /// Seconds since the runtime was created (the time axis every estimator
-  /// observation and lead-time stamp lives on).
-  double Now() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch)
-        .count();
-  }
-
-  const std::chrono::steady_clock::time_point epoch;
-
-  mutable std::mutex mu;
-  obs::HorizonEstimator brokers;       // per-broker residual capacity
-  obs::HoltEstimator queue_depth;      // ingestion-queue depth
-  obs::HoltEstimator arrival_rate;     // requests/second (admitted + shed)
-  obs::BurstDetector burst;            // on the arrival rate
-  obs::DriftDetector solve_drift;      // on non-degraded solve seconds
-  obs::DriftDetector admission_drift;  // on the per-sample shed fraction
-
-  // Rate-window bookkeeping between batch-commit samples.
-  double last_sample_t = -1.0;
-  uint64_t last_arrivals = 0;
-  uint64_t last_shed = 0;
-
-  // Lead-time stamps (seconds on the epoch axis; -1 = never happened).
-  // first_signal is the earliest pressure signal (burst firing or a
-  // horizon inside warn_horizon_seconds); first_shed / first_degraded are
-  // the earliest *actual* capacity events. Their difference is the lead
-  // time the bench scores.
-  double first_signal_t = -1.0;
-  double first_shed_t = -1.0;
-  double first_degraded_t = -1.0;
-  std::atomic<bool> shed_stamped{false};
-
-  // Instruments (registered in Start() under serve.forecast.*).
-  obs::Counter* samples = nullptr;
-  obs::Counter* burst_firings = nullptr;
-  obs::Gauge* broker_horizon_min = nullptr;
-  obs::Gauge* broker_horizon_p10 = nullptr;
-  obs::Gauge* broker_horizon_median = nullptr;
-  obs::Gauge* queue_horizon = nullptr;
-  obs::Gauge* arrival_rate_gauge = nullptr;
-  obs::Gauge* arrival_trend_gauge = nullptr;
-  obs::Gauge* burst_active_gauge = nullptr;
-  obs::Gauge* drift_score_gauge = nullptr;
-  obs::Gauge* first_signal_gauge = nullptr;
-  obs::Gauge* first_shed_gauge = nullptr;
-  obs::Gauge* first_degraded_gauge = nullptr;
-  obs::Gauge* lead_time_gauge = nullptr;
-
-  // --- Derived quantities; callers hold mu ---
-
-  /// Seconds until the queue depth projection reaches `capacity`.
-  double QueueHorizonLocked(double at_time, double capacity) const {
-    if (!queue_depth.has_trend()) return obs::kNoHorizon;
-    return obs::CrossingHorizonSeconds(queue_depth.LevelAt(at_time),
-                                       queue_depth.trend(), capacity,
-                                       /*rising=*/true);
-  }
-
-  /// Minimum predicted broker-exhaustion horizon (kNoHorizon when no
-  /// broker projects a crossing).
-  double MinBrokerHorizonLocked(double at_time) const {
-    double best = obs::kNoHorizon;
-    for (size_t i = 0; i < brokers.num_series(); ++i) {
-      double h = brokers.HorizonSeconds(i, at_time, 0.0, /*rising=*/false);
-      if (h < 0.0) continue;
-      if (best < 0.0 || h < best) best = h;
-    }
-    return best;
-  }
-
-  double MaxDriftScoreLocked() const {
-    return std::max(solve_drift.score(), admission_drift.score());
-  }
-};
 
 Result<std::unique_ptr<AssignmentService>> AssignmentService::Create(
     const sim::DatasetConfig& config, const policy::PolicyFactory& factory,
@@ -343,72 +221,6 @@ Status AssignmentService::Start() {
     rt.budget->Set(1.0);  // untouched budget until the first event
     slos_.push_back(std::move(rt));
   }
-  if (options_.forecasting.enabled) {
-    forecast_ = std::make_unique<ForecastRuntime>(options_.forecasting,
-                                                  platform_->num_brokers());
-    ForecastRuntime& fr = *forecast_;
-    fr.samples = &registry_->GetCounter(
-        "serve.forecast.samples",
-        "Batch-commit samples fed to the forecasting plane.");
-    fr.burst_firings = &registry_->GetCounter(
-        "serve.forecast.burst_firings",
-        "Arrival-rate burst detector firings (onsets, not plateaus).");
-    fr.broker_horizon_min = &registry_->GetGauge(
-        "serve.forecast.broker_exhaustion_horizon_seconds_min",
-        "Smallest predicted seconds until any broker's residual capacity "
-        "reaches zero (-1: no crossing predicted).");
-    fr.broker_horizon_p10 = &registry_->GetGauge(
-        "serve.forecast.broker_exhaustion_horizon_seconds_p10",
-        "10th percentile of predicted broker-exhaustion horizons (-1: no "
-        "crossing predicted).");
-    fr.broker_horizon_median = &registry_->GetGauge(
-        "serve.forecast.broker_exhaustion_horizon_seconds_median",
-        "Median predicted broker-exhaustion horizon in seconds (-1: no "
-        "crossing predicted).");
-    fr.queue_horizon = &registry_->GetGauge(
-        "serve.forecast.queue_saturation_horizon_seconds",
-        "Predicted seconds until the ingestion queue depth reaches its "
-        "capacity (-1: no crossing predicted).");
-    fr.arrival_rate_gauge = &registry_->GetGauge(
-        "serve.forecast.arrival_rate",
-        "Smoothed arrival rate (admitted + shed), requests/second.");
-    fr.arrival_trend_gauge = &registry_->GetGauge(
-        "serve.forecast.arrival_rate_trend",
-        "Holt trend of the arrival rate, requests/second per second.");
-    fr.burst_active_gauge = &registry_->GetGauge(
-        "serve.forecast.burst_active",
-        "1 while the latest arrival-rate sample fired the burst detector.");
-    fr.drift_score_gauge = &registry_->GetGauge(
-        "serve.forecast.drift_score",
-        "Max CUSUM drift score across solve latency and admission "
-        "detectors; >= 1 means the decision interval was crossed.");
-    fr.first_signal_gauge = &registry_->GetGauge(
-        "serve.forecast.first_signal_seconds",
-        "Seconds from service start to the first pressure signal (-1: "
-        "none yet).");
-    fr.first_shed_gauge = &registry_->GetGauge(
-        "serve.forecast.first_shed_seconds",
-        "Seconds from service start to the first shed request (-1: none "
-        "yet).");
-    fr.first_degraded_gauge = &registry_->GetGauge(
-        "serve.forecast.first_degraded_seconds",
-        "Seconds from service start to the first degraded batch (-1: none "
-        "yet).");
-    fr.lead_time_gauge = &registry_->GetGauge(
-        "serve.forecast.lead_time_seconds",
-        "First actual capacity event (shed or degraded batch) minus first "
-        "pressure signal; positive = the forecast led the event (-1000000: "
-        "not yet measurable).");
-    // Horizons start as "no crossing predicted" rather than zero.
-    fr.broker_horizon_min->Set(obs::kNoHorizon);
-    fr.broker_horizon_p10->Set(obs::kNoHorizon);
-    fr.broker_horizon_median->Set(obs::kNoHorizon);
-    fr.queue_horizon->Set(obs::kNoHorizon);
-    fr.first_signal_gauge->Set(-1.0);
-    fr.first_shed_gauge->Set(-1.0);
-    fr.first_degraded_gauge->Set(-1.0);
-    fr.lead_time_gauge->Set(kNoLeadTime);
-  }
 
   queue_ = std::make_unique<BoundedRequestQueue>(
       options_.queue_capacity,
@@ -445,11 +257,10 @@ Status AssignmentService::Start() {
         obs::ExpositionServer::Start(
             [this] {
               // Refresh scrape-time-only derived state: the timeline-drop
-              // mirror, the SLO burn gauges (via the health probe), the
-              // forecast projections, and the store residual gauges.
+              // mirror, the SLO burn gauges (via the health probe), and the
+              // store residual gauges.
               SyncTimelineDrops();
               Health();
-              RefreshForecastTelemetry();
               RefreshStoreGauges();
               return registry_->Snapshot();
             },
@@ -591,7 +402,6 @@ bool AssignmentService::Submit(const sim::Request& request) {
     RetireWork(1);
     shed_counter_->Increment();
     RecordAdmissionSlo(false);
-    NoteForecastShed();
     if (recorder_ != nullptr) recorder_->Instant("serve.shed");
     return false;
   }
@@ -822,11 +632,9 @@ void AssignmentService::Shutdown() {
       }
     }
   }
-  // Final drop-count sync and forecast-gauge refresh: both run without an
-  // exposition server too, so the captured RunTelemetry carries the
-  // truthful totals and the final projections/lead-time stamps.
+  // Final drop-count sync: runs without an exposition server too, so the
+  // captured RunTelemetry carries the truthful totals.
   SyncTimelineDrops();
-  RefreshForecastTelemetry();
   if (exposition_ != nullptr) exposition_->Stop();
 }
 
@@ -1002,7 +810,6 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
   // feasible, O(R×B), bounded utility loss instead of a missed batch.
   std::vector<int64_t> assignment;
   bool degraded = false;
-  double solve_seconds = 0.0;
   const bool budgeted = options_.solve_budget.count() > 0;
   FaultDecision solve_fault = DecideAt(injector_.get(), FaultSite::kSolve);
   if (budgeted && solve_fault.action == FaultAction::kOverBudgetSolve) {
@@ -1014,7 +821,6 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
     LACB_ASSIGN_OR_RETURN(assignment,
                           replicas_[worker_index]->AssignBatch(input));
     double elapsed = sw.ElapsedSeconds();
-    solve_seconds = elapsed;
     assign_latency_hist_->Record(elapsed);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -1204,9 +1010,6 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
     stage_disposition_hist_->Record(disposition_seconds);
     stage_disposition_total_->Add(disposition_seconds);
   }
-  // Batch-commit boundary: exactly one forecast sample per terminal-owned
-  // batch (twins never reach this point).
-  FeedForecast(degraded, solve_seconds);
   RetireWork(static_cast<int64_t>(batch.from_queue));
   // Injected process kill: fires at a batch boundary — this batch fully
   // disposed (committed, WAL-logged, retired), nothing after it survives.
@@ -1417,119 +1220,6 @@ void AssignmentService::SyncTimelineDrops() {
   if (total > prev) timeline_dropped_counter_->Increment(total - prev);
 }
 
-void AssignmentService::FeedForecast(bool degraded, double solve_seconds) {
-  if (forecast_ == nullptr) return;
-  ForecastRuntime& fr = *forecast_;
-  const double t = fr.Now();
-  const uint64_t shed = shed_counter_->value();
-  const uint64_t arrivals = submitted_counter_->value() + shed;
-  const double depth = static_cast<double>(queue_->size());
-  const std::vector<double> residuals =
-      store_.ResidualCapacities(std::numeric_limits<double>::infinity());
-
-  std::lock_guard<std::mutex> lock(fr.mu);
-  if (degraded && fr.first_degraded_t < 0.0) fr.first_degraded_t = t;
-  fr.queue_depth.Observe(t, depth);
-  for (size_t b = 0; b < residuals.size(); ++b) {
-    if (std::isinf(residuals[b])) continue;  // capacity never installed
-    fr.brokers.Observe(b, t, residuals[b]);
-  }
-  // A degraded batch skipped (or discarded) the real solve; its latency
-  // would teach the drift detector the wrong baseline.
-  if (!degraded) fr.solve_drift.Observe(solve_seconds);
-  if (fr.last_sample_t < 0.0) {
-    // First sample anchors the rate window; there is no rate yet.
-    fr.last_sample_t = t;
-    fr.last_arrivals = arrivals;
-    fr.last_shed = shed;
-  } else if (t - fr.last_sample_t > 1e-6) {
-    const double dt = t - fr.last_sample_t;
-    const double rate = static_cast<double>(arrivals - fr.last_arrivals) / dt;
-    fr.arrival_rate.Observe(t, rate);
-    if (fr.burst.Observe(rate)) fr.burst_firings->Increment();
-    if (arrivals > fr.last_arrivals) {
-      fr.admission_drift.Observe(static_cast<double>(shed - fr.last_shed) /
-                                 static_cast<double>(arrivals -
-                                                     fr.last_arrivals));
-    }
-    fr.last_sample_t = t;
-    fr.last_arrivals = arrivals;
-    fr.last_shed = shed;
-  }
-  fr.samples->Increment();
-  if (fr.first_signal_t < 0.0) {
-    const double warn = options_.forecasting.warn_horizon_seconds;
-    bool signal = fr.burst.active() || fr.solve_drift.drifted() ||
-                  fr.admission_drift.drifted();
-    if (!signal) {
-      double qh = fr.QueueHorizonLocked(
-          t, static_cast<double>(options_.queue_capacity));
-      signal = qh >= 0.0 && qh <= warn;
-    }
-    if (!signal) {
-      double bh = fr.MinBrokerHorizonLocked(t);
-      signal = bh >= 0.0 && bh <= warn;
-    }
-    if (signal) fr.first_signal_t = t;
-  }
-}
-
-void AssignmentService::NoteForecastShed() {
-  if (forecast_ == nullptr) return;
-  ForecastRuntime& fr = *forecast_;
-  // Fast path: after the first shed this is one relaxed load per shed.
-  if (fr.shed_stamped.load(std::memory_order_relaxed)) return;
-  const double t = fr.Now();
-  std::lock_guard<std::mutex> lock(fr.mu);
-  if (fr.first_shed_t < 0.0) {
-    fr.first_shed_t = t;
-    fr.shed_stamped.store(true, std::memory_order_relaxed);
-  }
-}
-
-void AssignmentService::RefreshForecastTelemetry() {
-  if (forecast_ == nullptr) return;
-  ForecastRuntime& fr = *forecast_;
-  const double t = fr.Now();
-  std::lock_guard<std::mutex> lock(fr.mu);
-  std::vector<double> horizons;
-  for (size_t i = 0; i < fr.brokers.num_series(); ++i) {
-    double h = fr.brokers.HorizonSeconds(i, t, 0.0, /*rising=*/false);
-    if (h >= 0.0) horizons.push_back(h);
-  }
-  std::sort(horizons.begin(), horizons.end());
-  if (horizons.empty()) {
-    fr.broker_horizon_min->Set(obs::kNoHorizon);
-    fr.broker_horizon_p10->Set(obs::kNoHorizon);
-    fr.broker_horizon_median->Set(obs::kNoHorizon);
-  } else {
-    const size_t n = horizons.size();
-    fr.broker_horizon_min->Set(CapHorizon(horizons.front()));
-    fr.broker_horizon_p10->Set(
-        CapHorizon(horizons[static_cast<size_t>(0.10 * (n - 1))]));
-    fr.broker_horizon_median->Set(CapHorizon(horizons[n / 2]));
-  }
-  fr.queue_horizon->Set(CapHorizon(fr.QueueHorizonLocked(
-      t, static_cast<double>(options_.queue_capacity))));
-  fr.arrival_rate_gauge->Set(fr.arrival_rate.valid() ? fr.arrival_rate.level()
-                                                     : 0.0);
-  fr.arrival_trend_gauge->Set(fr.arrival_rate.trend());
-  fr.burst_active_gauge->Set(fr.burst.active() ? 1.0 : 0.0);
-  fr.drift_score_gauge->Set(fr.MaxDriftScoreLocked());
-  fr.first_signal_gauge->Set(fr.first_signal_t);
-  fr.first_shed_gauge->Set(fr.first_shed_t);
-  fr.first_degraded_gauge->Set(fr.first_degraded_t);
-  // Lead time = first actual capacity event − first pressure signal.
-  double event_t = fr.first_shed_t;
-  if (fr.first_degraded_t >= 0.0 &&
-      (event_t < 0.0 || fr.first_degraded_t < event_t)) {
-    event_t = fr.first_degraded_t;
-  }
-  fr.lead_time_gauge->Set((fr.first_signal_t >= 0.0 && event_t >= 0.0)
-                              ? event_t - fr.first_signal_t
-                              : kNoLeadTime);
-}
-
 void AssignmentService::RefreshStoreGauges() {
   if (registry_ == nullptr) return;
   const std::vector<double> residuals =
@@ -1573,32 +1263,6 @@ void AssignmentService::RefreshStoreGauges() {
   gini_gauge.Set(total > 0.0
                      ? (2.0 * weighted) / (n * total) - (n + 1.0) / n
                      : 0.0);
-}
-
-std::string AssignmentService::ForecastPressureDetail() const {
-  if (forecast_ == nullptr) return std::string();
-  const ForecastRuntime& fr = *forecast_;
-  const double t = fr.Now();
-  const double warn = options_.forecasting.warn_horizon_seconds;
-  std::lock_guard<std::mutex> lock(fr.mu);
-  std::string out;
-  auto append = [&out](const std::string& part) {
-    if (!out.empty()) out += ", ";
-    out += part;
-  };
-  if (double bh = fr.MinBrokerHorizonLocked(t); bh >= 0.0 && bh <= warn) {
-    append("broker exhaustion in ~" + FormatSeconds(bh));
-  }
-  if (double qh = fr.QueueHorizonLocked(
-          t, static_cast<double>(options_.queue_capacity));
-      qh >= 0.0 && qh <= warn) {
-    append("queue saturation in ~" + FormatSeconds(qh));
-  }
-  if (fr.burst.active()) append("arrival burst");
-  if (fr.solve_drift.drifted()) append("solve-latency drift");
-  if (fr.admission_drift.drifted()) append("admission drift");
-  if (out.empty()) return out;
-  return "pressure: " + out;
 }
 
 void AssignmentService::RecordIncident(const char* /*kind*/) {
@@ -1664,13 +1328,6 @@ obs::HealthReport AssignmentService::Health() const {
       report.detail =
           "recent fault incidents: " + std::to_string(incident_count_);
     }
-  }
-  // Advisory pressure annotation from the forecasting plane. Deliberately
-  // applied after the state machine settles: forecasts annotate /healthz,
-  // they never drive transitions.
-  if (std::string pressure = ForecastPressureDetail(); !pressure.empty()) {
-    report.detail = report.detail.empty() ? pressure
-                                          : report.detail + "; " + pressure;
   }
   if (report.detail.empty()) report.detail = "serving";
   if (health_gauge_ != nullptr) {

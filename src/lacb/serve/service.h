@@ -66,7 +66,6 @@
 #include "lacb/persist/checkpoint.h"
 #include "lacb/persist/wal.h"
 #include "lacb/obs/exposition.h"
-#include "lacb/obs/forecast.h"
 #include "lacb/obs/metrics.h"
 #include "lacb/obs/slo.h"
 #include "lacb/obs/trace.h"
@@ -113,34 +112,6 @@ struct BatchDisposition {
   std::vector<int64_t> dropped;    ///< Appeals dropped at day end/shutdown.
 };
 using DispositionSink = std::function<void(const BatchDisposition&)>;
-
-/// \brief Predictive capacity observability (docs/observability.md,
-/// "Forecasting & pressure signals"). Off by default: the serve path takes
-/// no extra clock reads and registers no forecast instruments. Enabled,
-/// the service feeds Holt level+trend estimators, a burst detector, and
-/// CUSUM drift detectors at every batch-commit boundary and exports the
-/// projections as serve.forecast.* gauges; /healthz gains an advisory
-/// "pressure" detail that never changes health-state transitions.
-struct ForecastOptions {
-  bool enabled = false;
-  /// Holt level smoothing weight, in (0, 1].
-  double alpha = 0.4;
-  /// Holt trend smoothing weight, in (0, 1].
-  double beta = 0.2;
-  /// Arrival-rate burst detector: baseline ring size, z-score trip wire,
-  /// and the minimum rate/baseline-mean ratio that may fire.
-  size_t burst_window = 32;
-  double burst_z_threshold = 4.0;
-  double burst_min_ratio = 2.0;
-  /// CUSUM drift detectors (solve latency, shed fraction): dead zone and
-  /// decision interval, both in baseline sigmas.
-  double cusum_slack = 0.5;
-  double cusum_threshold = 8.0;
-  /// A predicted broker-exhaustion or queue-saturation horizon below this
-  /// many seconds counts as a pressure signal (first_signal stamp and the
-  /// /healthz advisory detail).
-  double warn_horizon_seconds = 5.0;
-};
 
 /// \brief Serving-layer configuration.
 struct ServeOptions {
@@ -263,9 +234,6 @@ struct ServeOptions {
   /// burn-rate gauges and feeds the health state machine (fast burn on a
   /// critical SLO → unhealthy; any burn → degraded). Empty = none.
   std::vector<ServedSlo> slos;
-  /// Predictive capacity observability: saturation horizons, queue-growth
-  /// forecasts, burst/drift detectors. Default-off — see ForecastOptions.
-  ForecastOptions forecasting;
 
   // --- Dynamic scenarios (docs/scenarios.md) ---
 
@@ -452,12 +420,6 @@ class AssignmentService {
   /// (joining an active broker, dropping an inactive one) are no-ops.
   Status ApplyChurn(const scenario::ChurnEvent& event);
 
-  /// \brief Recomputes every serve.forecast.* gauge from the live
-  /// estimators at the current time. Called on each /metrics scrape;
-  /// tests and benches may call it directly before reading a snapshot.
-  /// No-op unless ServeOptions::forecasting is enabled.
-  void RefreshForecastTelemetry();
-
   /// \brief Refreshes the serve.store.residual_{min,median,gini} gauges
   /// from the broker store's current residual capacities. Instruments are
   /// registered lazily on first call (each /metrics scrape calls this), so
@@ -555,17 +517,6 @@ class AssignmentService {
   /// at or before the current commit count of the open day. Requires
   /// env_mu_ held; no-op without a scenario.
   void ApplyScenarioChurnDueLocked();
-
-  /// Feeds the forecasting plane one batch-commit sample: arrival rate,
-  /// queue depth, per-broker residuals, solve latency, shed fraction.
-  /// No-op (not even a clock read) unless forecasting is enabled.
-  void FeedForecast(bool degraded, double solve_seconds);
-  /// Stamps the first shed (lead-time denominator); called from Submit.
-  void NoteForecastShed();
-  /// Builds the advisory "pressure: ..." /healthz detail, or "" when
-  /// forecasting is off or nothing is pressing. Never affects the health
-  /// state machine.
-  std::string ForecastPressureDetail() const;
 
   // --- Immutable after construction ---
   ServeOptions options_;
@@ -743,12 +694,6 @@ class AssignmentService {
     obs::Gauge* budget = nullptr;
   };
   std::vector<SloRuntime> slos_;
-
-  // Forecasting plane (null unless options_.forecasting.enabled; the
-  // struct lives in service.cc — estimators, detectors, gauge pointers,
-  // and the first-signal/first-shed/first-degraded lead-time stamps).
-  struct ForecastRuntime;
-  std::unique_ptr<ForecastRuntime> forecast_;
 
   // Aggregate assign-time and solver introspection (ServeStats mirror;
   // obs instruments carry the distributions).

@@ -1,6 +1,5 @@
-// Tests for the extension modules: Thompson sampling, the auction and
-// Hopcroft–Karp matchers, Pearson/Spearman correlation, trace I/O, and the
-// Greedy / Flow policies.
+// Tests for the extension modules: Thompson sampling, Pearson/Spearman
+// correlation, trace I/O, and the Greedy / Flow policies.
 
 #include <cstdio>
 #include <filesystem>
@@ -10,11 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "lacb/bandit/thompson.h"
-#include "lacb/matching/min_cost_flow.h"
 #include "lacb/core/engine.h"
 #include "lacb/core/policy_suite.h"
-#include "lacb/matching/auction.h"
-#include "lacb/matching/hopcroft_karp.h"
 #include "lacb/policy/flow_policy.h"
 #include "lacb/policy/greedy_policy.h"
 #include "lacb/sim/trace_io.h"
@@ -57,103 +53,6 @@ TEST(LinearThompsonTest, ConvergesOnLinearReward) {
   // Mean prediction reflects the fitted model.
   EXPECT_GT(b->PredictReward({0.5}, 0.0).value(),
             b->PredictReward({0.5}, 2.0).value());
-}
-
-// ------------------------------ Auction -----------------------------------
-
-TEST(AuctionTest, Validation) {
-  EXPECT_FALSE(matching::AuctionAssignment(la::Matrix(3, 2)).ok());
-  matching::AuctionOptions bad;
-  bad.epsilon = 0.0;
-  EXPECT_FALSE(matching::AuctionAssignment(la::Matrix(2, 2), bad).ok());
-}
-
-TEST(AuctionTest, MatchesKuhnMunkresOnRandomInstances) {
-  Rng rng(5);
-  for (int trial = 0; trial < 25; ++trial) {
-    size_t rows = 2 + static_cast<size_t>(rng.UniformInt(0, 6));
-    size_t cols = rows + static_cast<size_t>(rng.UniformInt(0, 6));
-    la::Matrix w(rows, cols);
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols; ++c) w(r, c) = rng.Uniform();
-    }
-    auto km = matching::MaxWeightAssignment(w);
-    auto auction = matching::AuctionAssignment(w);
-    ASSERT_TRUE(km.ok());
-    ASSERT_TRUE(auction.ok());
-    EXPECT_NEAR(km->total_weight, auction->total_weight,
-                1e-5 + 1e-6 * static_cast<double>(rows));
-    // Feasibility: distinct columns.
-    std::vector<bool> used(cols, false);
-    for (int64_t c : auction->col_of_row) {
-      ASSERT_GE(c, 0);
-      EXPECT_FALSE(used[static_cast<size_t>(c)]);
-      used[static_cast<size_t>(c)] = true;
-    }
-  }
-}
-
-TEST(AuctionTest, EmptyInstance) {
-  auto a = matching::AuctionAssignment(la::Matrix(0, 0));
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->total_weight, 0.0);
-}
-
-// ---------------------------- Hopcroft–Karp -------------------------------
-
-TEST(HopcroftKarpTest, SimplePerfectMatching) {
-  matching::HopcroftKarp hk(3, 3);
-  ASSERT_TRUE(hk.AddEdge(0, 0).ok());
-  ASSERT_TRUE(hk.AddEdge(0, 1).ok());
-  ASSERT_TRUE(hk.AddEdge(1, 1).ok());
-  ASSERT_TRUE(hk.AddEdge(2, 2).ok());
-  EXPECT_EQ(hk.Solve(), 3u);
-}
-
-TEST(HopcroftKarpTest, AugmentingPathNeeded) {
-  // Greedy would match 0-0 and strand vertex 1; HK must find both.
-  matching::HopcroftKarp hk(2, 2);
-  ASSERT_TRUE(hk.AddEdge(0, 0).ok());
-  ASSERT_TRUE(hk.AddEdge(0, 1).ok());
-  ASSERT_TRUE(hk.AddEdge(1, 0).ok());
-  EXPECT_EQ(hk.Solve(), 2u);
-  EXPECT_EQ(hk.right_of_left()[0], 1);
-  EXPECT_EQ(hk.right_of_left()[1], 0);
-}
-
-TEST(HopcroftKarpTest, Validation) {
-  matching::HopcroftKarp hk(2, 2);
-  EXPECT_FALSE(hk.AddEdge(5, 0).ok());
-  EXPECT_FALSE(hk.AddEdge(0, 5).ok());
-}
-
-TEST(HopcroftKarpTest, MatchesFlowCardinalityOnRandomGraphs) {
-  Rng rng(6);
-  for (int trial = 0; trial < 15; ++trial) {
-    size_t left = 3 + static_cast<size_t>(rng.UniformInt(0, 7));
-    size_t right = 3 + static_cast<size_t>(rng.UniformInt(0, 7));
-    matching::HopcroftKarp hk(left, right);
-    matching::MinCostFlow flow(left + right + 2);
-    size_t source = 0;
-    size_t sink = left + right + 1;
-    for (size_t u = 0; u < left; ++u) {
-      ASSERT_TRUE(flow.AddEdge(source, 1 + u, 1, 0.0).ok());
-    }
-    for (size_t v = 0; v < right; ++v) {
-      ASSERT_TRUE(flow.AddEdge(1 + left + v, sink, 1, 0.0).ok());
-    }
-    for (size_t u = 0; u < left; ++u) {
-      for (size_t v = 0; v < right; ++v) {
-        if (rng.Bernoulli(0.3)) {
-          ASSERT_TRUE(hk.AddEdge(u, v).ok());
-          ASSERT_TRUE(flow.AddEdge(1 + u, 1 + left + v, 1, 0.0).ok());
-        }
-      }
-    }
-    auto f = flow.Solve(source, sink);
-    ASSERT_TRUE(f.ok());
-    EXPECT_EQ(hk.Solve(), static_cast<size_t>(f->flow));
-  }
 }
 
 // ----------------------------- Correlation --------------------------------

@@ -831,6 +831,44 @@ TEST(ServiceTest, PoissonLoadCompletesAndPacksBatches) {
   EXPECT_GE(run->p99_batch_latency, 0.0);
 }
 
+// Open-loop Poisson load must offer the rate it is asked for: wakeup
+// overshoot of one arrival must not add up across the day.
+TEST(ServiceTest, PoissonPacingOffersTheAskedRate) {
+  obs::ScopedTelemetry telemetry;
+  sim::DatasetConfig cfg = TinyConfig();
+  cfg.num_requests = 2000;
+  cfg.num_days = 1;
+  core::PolicySuiteConfig suite;
+  serve::ServedRunOptions opts;
+  opts.mode = serve::LoadMode::kPoisson;
+  opts.poisson_rate = 10000.0;
+  opts.serve.num_workers = 1;
+  opts.serve.queue_capacity = 4096;
+  auto service = serve::AssignmentService::Create(
+      cfg, core::SuitePolicyFactory(cfg, suite, 0), opts.serve);  // Top-1
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->Start().ok());
+  ASSERT_TRUE((*service)->OpenDay(0).ok());
+
+  size_t requests = 0;
+  for (const auto& batch : (*service)->platform().all_requests()[0]) {
+    requests += batch.size();
+  }
+  ASSERT_GE(requests, 1000u);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(serve::PumpDay(service->get(), 0, opts).ok());
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const double expected = static_cast<double>(requests) / opts.poisson_rate;
+  // The sum of ~2 000 exponential gaps lies within a few percent of its
+  // mean, so both bounds sit many standard deviations out.
+  EXPECT_LE(elapsed, 1.3 * expected) << requests << " requests";
+  EXPECT_GE(elapsed, 0.8 * expected) << requests << " requests";
+  ASSERT_TRUE((*service)->CloseDay().ok());
+  (*service)->Shutdown();
+}
+
 // --- Performance attribution plane ---------------------------------------
 
 // Stage attribution and solver introspection are observers: with the knobs
