@@ -41,8 +41,7 @@ Result<SweepPoint> RunSweepPoint(const sim::DatasetConfig& data,
                                  const core::PolicySuiteConfig& suite,
                                  size_t workers,
                                  obs::EventRecorder* recorder = nullptr,
-                                 bool attribution = true,
-                                 const std::string& profile_path = "") {
+                                 bool attribution = true) {
   serve::ServedRunOptions opts;
   opts.mode = serve::LoadMode::kFreeRunReplay;
   opts.serve.num_workers = workers;
@@ -58,15 +57,10 @@ Result<SweepPoint> RunSweepPoint(const sim::DatasetConfig& data,
                              "serve.inflight_batches"};
   opts.recorder = recorder;
   // The performance-attribution plane rides every sweep point so the
-  // serve.stage.* and serve.solver.* instruments land in BENCH_serve.json;
-  // the sampling profiler runs alongside (folded output only where asked).
+  // serve.stage.* and serve.solver.* instruments land in BENCH_serve.json.
   if (attribution) {
     opts.serve.stage_attribution = true;
     opts.serve.solver_introspection = true;
-    // 5ms keeps hundreds of sweeps per point without the sampler
-    // contending the tracer mutex against every span transition.
-    opts.profile_interval = std::chrono::milliseconds(5);
-    opts.profile_path = profile_path;
   }
 
   SweepPoint point;
@@ -215,9 +209,7 @@ Status Run() {
     LACB_ASSIGN_OR_RETURN(
         SweepPoint point,
         RunSweepPoint(data, suite, workers,
-                      workers == 4 ? &recorder : nullptr,
-                      /*attribution=*/true,
-                      workers == 4 ? "PROF_serve.folded" : ""));
+                      workers == 4 ? &recorder : nullptr));
     LACB_RETURN_NOT_OK(table.AddRow(
         {std::to_string(point.workers),
          TablePrinter::Num(point.wall_seconds, 3),
@@ -296,10 +288,10 @@ Status Run() {
     bench::PrintBoth(stage_table);
   }
 
-  // Overhead of the whole attribution plane (stage timers + SolveStats +
-  // sampling profiler): paired single-worker re-runs, dark vs
-  // instrumented, interleaved and best-of-2 per side so scheduler noise
-  // and warm-up drift land on both configurations equally.
+  // Overhead of the whole attribution plane (stage timers + SolveStats):
+  // paired single-worker re-runs, dark vs instrumented, interleaved and
+  // best-of-2 per side so scheduler noise and warm-up drift land on both
+  // configurations equally.
   double plain_best = 0.0;
   double instrumented_best = 0.0;
   for (int rep = 0; rep < 2; ++rep) {
@@ -314,12 +306,16 @@ Status Run() {
   }
   double slowdown = 1.0 - instrumented_best / std::max(1e-9, plain_best);
   all_ok &= bench::ShapeCheck(
-      "attribution + profiler cost < 5% single-worker throughput",
+      "attribution cost < 5% single-worker throughput",
       slowdown < 0.05,
       TablePrinter::Num(slowdown * 100.0, 2) + "% slower with attribution");
 
   LACB_RETURN_NOT_OK(telemetry_log.Write());
   {
+    // Flamegraph of the widest point, straight from its span tree: exact
+    // self times per call path, in microseconds.
+    LACB_RETURN_NOT_OK(obs::WriteFoldedStacks(
+        points.back().run.telemetry->spans, "PROF_serve.folded"));
     std::ifstream prof("PROF_serve.folded");
     size_t stacks = 0;
     std::string line;

@@ -74,7 +74,8 @@ int main() {
 
   obs::ScopedTelemetry telemetry;
   obs::EventRecorder recorder;
-  obs::ScopedEventRecording recording(&recorder);
+  obs::ScopedContextAdoption recording(&telemetry.registry(),
+                                       &telemetry.tracer(), &recorder);
 
   serve::ServeOptions options;
   options.num_workers = 2;

@@ -125,11 +125,9 @@ Result<PolicyRunResult> RunPolicy(const sim::DatasetConfig& config,
       }
     }
 
-    // Per-day trajectory gauges: the end-of-run snapshot keeps only their
-    // final value, but an attached TimeSeriesSampler (ticked below, one
-    // sample per simulated day) turns them into the convergence curves the
-    // paper plots — capacity-estimate error shrinking, overload
-    // concentration (Gini) flattening under capacity-aware policies.
+    // Per-day trajectory gauges (the end-of-run snapshot keeps the final
+    // day's value): realized utility, overload concentration (Gini) and,
+    // for capacity-aware policies, capacity-estimate error against truth.
     obs::MetricRegistry& reg = telemetry.registry();
     reg.GetGauge("engine.day_utility").Set(outcome.realized_utility);
     reg.GetGauge("engine.workload_gini")
@@ -144,32 +142,20 @@ Result<PolicyRunResult> RunPolicy(const sim::DatasetConfig& config,
       reg.GetGauge("engine.capacity_mae")
           .Set(abs_err / static_cast<double>(std::max<size_t>(1, n)));
     }
-    if (obs::TimeSeriesSampler* sampler = obs::ActiveSampler();
-        sampler != nullptr) {
-      sampler->Sample(static_cast<double>(day), reg);
-    }
   }
   double d = static_cast<double>(std::max<size_t>(1, days));
   for (size_t b = 0; b < n; ++b) {
     result.broker_mean_workload[b] = result.broker_requests[b] / d;
   }
 
-  if (obs::CollectionEnabled()) {
-    std::map<std::string, std::string> meta;
-    meta["policy"] = result.policy;
-    meta["dataset"] = result.dataset;
-    meta["num_brokers"] = std::to_string(platform.num_brokers());
-    meta["num_days"] = std::to_string(days);
-    meta["policy_seconds"] = std::to_string(result.policy_seconds);
-    obs::RunTelemetry captured = obs::CaptureRun(
-        telemetry.registry(), telemetry.tracer(), std::move(meta));
-    if (obs::TimeSeriesSampler* sampler = obs::ActiveSampler();
-        sampler != nullptr) {
-      captured.series = sampler->Series();
-    }
-    result.telemetry =
-        std::make_shared<obs::RunTelemetry>(std::move(captured));
-  }
+  std::map<std::string, std::string> meta;
+  meta["policy"] = result.policy;
+  meta["dataset"] = result.dataset;
+  meta["num_brokers"] = std::to_string(platform.num_brokers());
+  meta["num_days"] = std::to_string(days);
+  meta["policy_seconds"] = std::to_string(result.policy_seconds);
+  result.telemetry = std::make_shared<obs::RunTelemetry>(obs::CaptureRun(
+      telemetry.registry(), telemetry.tracer(), std::move(meta)));
   return result;
 }
 

@@ -63,9 +63,9 @@ struct PolicyRunResult {
   size_t failed_requests = 0;
 
   /// Structured run telemetry: metrics + span tree collected while this
-  /// run executed (see docs/observability.md). Null when collection was
-  /// disabled via obs::SetCollectionEnabled(false). Shared so copies of
-  /// the result stay cheap.
+  /// run executed (see docs/observability.md). Always set by
+  /// core::RunPolicy and serve::RunPolicyServed. Shared so copies of the
+  /// result stay cheap.
   std::shared_ptr<const obs::RunTelemetry> telemetry;
 };
 

@@ -1,12 +1,8 @@
 #include "lacb/obs/context.h"
 
-#include <atomic>
-
 namespace lacb::obs {
 
 namespace {
-
-std::atomic<bool> g_enabled{true};
 
 MetricRegistry& GlobalRegistry() {
   static MetricRegistry* registry = new MetricRegistry();
@@ -18,53 +14,21 @@ Tracer& GlobalTracer() {
   return *tracer;
 }
 
-// Sink context used while collection is disabled: writes land somewhere
-// valid (no branches at call sites beyond the enabled check) but are never
-// snapshotted or exported.
-MetricRegistry& SinkRegistry() {
-  static MetricRegistry* registry = new MetricRegistry();
-  return *registry;
-}
-
-Tracer& SinkTracer() {
-  static Tracer* tracer = new Tracer();
-  return *tracer;
-}
-
 thread_local MetricRegistry* tl_registry = nullptr;
 thread_local Tracer* tl_tracer = nullptr;
 thread_local EventRecorder* tl_recorder = nullptr;
-thread_local TimeSeriesSampler* tl_sampler = nullptr;
 
 }  // namespace
 
 MetricRegistry& ActiveRegistry() {
-  if (!g_enabled.load(std::memory_order_relaxed)) return SinkRegistry();
   return tl_registry != nullptr ? *tl_registry : GlobalRegistry();
 }
 
 Tracer& ActiveTracer() {
-  if (!g_enabled.load(std::memory_order_relaxed)) return SinkTracer();
   return tl_tracer != nullptr ? *tl_tracer : GlobalTracer();
 }
 
-EventRecorder* ActiveEventRecorder() {
-  if (!g_enabled.load(std::memory_order_relaxed)) return nullptr;
-  return tl_recorder;
-}
-
-TimeSeriesSampler* ActiveSampler() {
-  if (!g_enabled.load(std::memory_order_relaxed)) return nullptr;
-  return tl_sampler;
-}
-
-void SetCollectionEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool CollectionEnabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
+EventRecorder* ActiveEventRecorder() { return tl_recorder; }
 
 ScopedContextAdoption::ScopedContextAdoption(MetricRegistry* registry,
                                              Tracer* tracer,
@@ -81,22 +45,6 @@ ScopedContextAdoption::~ScopedContextAdoption() {
   tl_registry = prev_registry_;
   tl_tracer = prev_tracer_;
   tl_recorder = prev_recorder_;
-}
-
-ScopedEventRecording::ScopedEventRecording(EventRecorder* recorder)
-    : prev_recorder_(tl_recorder) {
-  tl_recorder = recorder;
-}
-
-ScopedEventRecording::~ScopedEventRecording() { tl_recorder = prev_recorder_; }
-
-ScopedSamplerAttachment::ScopedSamplerAttachment(TimeSeriesSampler* sampler)
-    : prev_sampler_(tl_sampler) {
-  tl_sampler = sampler;
-}
-
-ScopedSamplerAttachment::~ScopedSamplerAttachment() {
-  tl_sampler = prev_sampler_;
 }
 
 ScopedTelemetry::ScopedTelemetry()

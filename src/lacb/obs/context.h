@@ -20,7 +20,6 @@
 namespace lacb::obs {
 
 class EventRecorder;
-class TimeSeriesSampler;
 
 /// \brief Registry that instrumentation on this thread currently targets.
 MetricRegistry& ActiveRegistry();
@@ -30,22 +29,10 @@ Tracer& ActiveTracer();
 
 /// \brief Event-timeline recorder installed on this thread, or null —
 /// unlike the registry/tracer there is no process default: timeline
-/// recording is opt-in via ScopedEventRecording (it retains every event,
+/// recording is opt-in via ScopedContextAdoption (it retains every event,
 /// not aggregates, so it is a debugging/profiling plane, not an always-on
-/// one). Null while collection is disabled.
+/// one). Every LACB_TRACE_SPAN on the thread records into it.
 EventRecorder* ActiveEventRecorder();
-
-/// \brief Time-series sampler attached to this thread, or null. The
-/// engine ticks it once per simulated day (see core::RunPolicy); attach
-/// one via ScopedSamplerAttachment around a run to capture per-day
-/// trajectories. Null while collection is disabled.
-TimeSeriesSampler* ActiveSampler();
-
-/// \brief Process-wide collection switch (default on). When off, spans
-/// and metric lookups still resolve but write to a throwaway context that
-/// is never exported — flip off to measure instrumentation overhead.
-void SetCollectionEnabled(bool enabled);
-bool CollectionEnabled();
 
 /// \brief Installs an *existing* registry + tracer (owned elsewhere) as
 /// this thread's active context for the guard's lifetime. This is how a
@@ -55,7 +42,8 @@ bool CollectionEnabled();
 /// thread-safe, so many threads may adopt the same pair. Null
 /// registry/tracer pointers re-select the process-wide default context;
 /// the optional event recorder is forwarded as-is (null = no recording on
-/// the adopting thread).
+/// the adopting thread). Installing a run's own registry + tracer together
+/// with a recorder is how a caller records that run's timeline.
 class ScopedContextAdoption {
  public:
   ScopedContextAdoption(MetricRegistry* registry, Tracer* tracer,
@@ -68,35 +56,6 @@ class ScopedContextAdoption {
   MetricRegistry* prev_registry_;
   Tracer* prev_tracer_;
   EventRecorder* prev_recorder_;
-};
-
-/// \brief Installs `recorder` as this thread's active event-timeline
-/// recorder for the guard's lifetime (restores the previous one on exit).
-/// The serving layer captures the recorder active on the Start() caller
-/// and forwards it to its batcher/worker threads.
-class ScopedEventRecording {
- public:
-  explicit ScopedEventRecording(EventRecorder* recorder);
-  ~ScopedEventRecording();
-  ScopedEventRecording(const ScopedEventRecording&) = delete;
-  ScopedEventRecording& operator=(const ScopedEventRecording&) = delete;
-
- private:
-  EventRecorder* prev_recorder_;
-};
-
-/// \brief Attaches `sampler` as this thread's active time-series sampler
-/// for the guard's lifetime. Install one around core::RunPolicy to get a
-/// per-simulated-day sample of the run's registry.
-class ScopedSamplerAttachment {
- public:
-  explicit ScopedSamplerAttachment(TimeSeriesSampler* sampler);
-  ~ScopedSamplerAttachment();
-  ScopedSamplerAttachment(const ScopedSamplerAttachment&) = delete;
-  ScopedSamplerAttachment& operator=(const ScopedSamplerAttachment&) = delete;
-
- private:
-  TimeSeriesSampler* prev_sampler_;
 };
 
 /// \brief Installs a fresh registry + tracer as this thread's active

@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "lacb/common/logging.h"
-#include "lacb/obs/context.h"
 #include "lacb/obs/snapshot.h"
 
 namespace lacb::obs {
@@ -110,15 +109,6 @@ TraceSnapshot EventRecorder::Snapshot() const {
                      return a.ts_micros < b.ts_micros;
                    });
   return snap;
-}
-
-ScopedTimelineEvent::ScopedTimelineEvent(const char* name)
-    : recorder_(ActiveEventRecorder()), name_(name) {
-  if (recorder_ != nullptr) recorder_->Begin(name_);
-}
-
-ScopedTimelineEvent::~ScopedTimelineEvent() {
-  if (recorder_ != nullptr) recorder_->End(name_);
 }
 
 namespace {

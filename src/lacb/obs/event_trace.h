@@ -1,9 +1,10 @@
 // Event-timeline tracing: a lock-light per-thread ring-buffer recorder for
 // *individual* begin/end/instant events, exported as Chrome-tracing JSON.
 //
-// This is the timeline complement to trace.h: ScopedSpan aggregates
-// repeated scopes into one tree node (O(distinct call paths), always on),
-// while EventRecorder keeps the most recent N events *per thread* with
+// This is the timeline view of trace.h: ScopedSpan aggregates repeated
+// scopes into one tree node (O(distinct call paths), always on) and, when
+// the thread has a recorder, also records each execution here as a B/E
+// slice. EventRecorder keeps the most recent N events *per thread* with
 // timestamps, thread ids, and flow ids, so a single request can be
 // followed across the serve pipeline (enqueue on a producer thread →
 // micro-batch close on the batcher thread → solve/commit on a worker
@@ -13,10 +14,10 @@
 // fixed-capacity ring (drop-oldest; drops are counted, never silent).
 // Recording takes one uncontended per-thread mutex acquisition — no shared
 // write path — so producers, the batcher, and workers never serialize on
-// the recorder. Recording is opt-in: call sites consult
-// obs::ActiveEventRecorder() (see context.h), which is null unless a
-// ScopedEventRecording guard installed a recorder on that thread (the
-// serving layer forwards the guard to its internal threads).
+// the recorder. Recording is opt-in: spans and the serve layer's flow
+// events consult obs::ActiveEventRecorder() (see context.h), which is null
+// unless a ScopedContextAdoption installed a recorder on that thread (the
+// serving layer forwards it to its internal threads).
 
 #ifndef LACB_OBS_EVENT_TRACE_H_
 #define LACB_OBS_EVENT_TRACE_H_
@@ -114,19 +115,6 @@ class EventRecorder {
 
   mutable std::mutex mu_;  // guards logs_ registration
   std::vector<std::unique_ptr<ThreadLog>> logs_;
-};
-
-/// \brief RAII begin/end pair on the active recorder (no-op when none).
-class ScopedTimelineEvent {
- public:
-  explicit ScopedTimelineEvent(const char* name);
-  ~ScopedTimelineEvent();
-  ScopedTimelineEvent(const ScopedTimelineEvent&) = delete;
-  ScopedTimelineEvent& operator=(const ScopedTimelineEvent&) = delete;
-
- private:
-  EventRecorder* recorder_;
-  const char* name_;
 };
 
 /// \brief Renders a snapshot as a Chrome-tracing JSON document (the

@@ -16,7 +16,6 @@
 #include "lacb/obs/exposition.h"
 #include "lacb/obs/json.h"
 #include "lacb/obs/metrics.h"
-#include "lacb/obs/profiler.h"
 #include "lacb/obs/prometheus.h"
 #include "lacb/obs/slo.h"
 #include "lacb/obs/snapshot.h"

@@ -27,8 +27,10 @@ struct RunTelemetry {
   MetricsSnapshot metrics;
   /// Aggregated span forest (children of the implicit root).
   std::vector<SpanSnapshot> spans;
-  /// Sampled trajectory over the run (empty unless a TimeSeriesSampler was
-  /// attached); serialized as "time_series" when non-empty.
+  /// Sampled trajectory over the run (empty unless a TimeSeriesSampler's
+  /// series was stored here, as serve::RunPolicyServed does when
+  /// ServedRunOptions::sample_interval is set); serialized as
+  /// "time_series" when non-empty.
   TimeSeries series;
 
   /// \brief Flat per-label totals over the whole span forest.

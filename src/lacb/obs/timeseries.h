@@ -6,9 +6,9 @@
 // queue depth breathes with load, overload concentrates as days pass. The
 // TimeSeriesSampler records those trajectories with two cadences:
 //
-//   - offline: the engine ticks the sampler once per simulated day (the
-//     caller attaches one via obs::ScopedSamplerAttachment; t = day index);
-//   - online:  StartPeriodic spawns a thread sampling every wall-clock
+//   - manual:   the caller calls Sample(t, registry) at points it chooses
+//     (t is whatever axis it picks, e.g. a day index);
+//   - periodic: StartPeriodic spawns a thread sampling every wall-clock
 //     interval (t = seconds since the periodic clock started).
 //
 // Each sample snapshots the selected instruments of a MetricRegistry (all
@@ -39,15 +39,16 @@ namespace lacb::obs {
 
 /// \brief One sampling instant.
 struct SamplePoint {
-  /// Sample time: day index (offline cadence) or seconds since the
-  /// periodic clock started (online cadence).
+  /// Sample time: the caller's axis (manual cadence) or seconds since the
+  /// periodic clock started (periodic cadence).
   double t = 0.0;
   std::map<std::string, double> values;
 };
 
 /// \brief An ordered series of samples plus its time axis unit.
 struct TimeSeries {
-  /// "day" for per-simulated-day ticks, "seconds" for wall-clock ones.
+  /// Unit of `t`, e.g. "day" for per-day ticks, "seconds" for wall-clock
+  /// ones.
   std::string time_unit = "seconds";
   std::vector<SamplePoint> points;
 

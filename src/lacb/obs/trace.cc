@@ -1,14 +1,17 @@
 #include "lacb/obs/trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 
 #include "lacb/obs/context.h"
+#include "lacb/obs/event_trace.h"
+#include "lacb/persist/bytes.h"
 
 namespace lacb::obs {
 
 struct Tracer::Node {
   std::string label;
-  Node* parent = nullptr;
   Tracer* owner = nullptr;
   uint64_t count = 0;
   double total_seconds = 0.0;
@@ -19,21 +22,11 @@ struct Tracer::Node {
 
 namespace {
 
-// Innermost open span of this thread. May point into a previous run's
-// tracer after a context switch; Enter() detects that via Node::owner and
-// falls back to the root, so stale pointers are never followed.
+// Innermost open span of this thread, in whichever tracer it was opened.
+// ScopedSpan saves it on entry and restores it on exit, so it always names
+// a live span (or null). Enter() checks Node::owner: a span opened under
+// another context (an enclosing run, say) is never a parent here.
 thread_local Tracer::Node* tl_open_span = nullptr;
-
-// Process-unique tracer ids let each thread cache its publication slot
-// without ever dereferencing a slot that belongs to a dead tracer (a new
-// tracer has a new id, so the cache simply misses).
-std::atomic<uint64_t> g_next_tracer_id{1};
-
-struct TlSlotCache {
-  uint64_t tracer_id = 0;
-  void* slot = nullptr;
-};
-thread_local TlSlotCache tl_slot_cache;
 
 SpanSnapshot SnapshotNode(const Tracer::Node& node) {
   SpanSnapshot snap;
@@ -63,30 +56,9 @@ void AggregateNode(const Tracer::Node& node,
 
 }  // namespace
 
-Tracer::Tracer()
-    : root_(std::make_unique<Node>()),
-      tracer_id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {
-  root_->owner = this;
-}
+Tracer::Tracer() : root_(std::make_unique<Node>()) { root_->owner = this; }
 
-Tracer::~Tracer() {
-  // A thread that still has a chain open into this tracer (a span alive
-  // across the tracer's destruction would be a bug, but a *finished* chain
-  // leaves tl_open_span == nullptr already) must not dangle.
-  if (tl_open_span != nullptr && tl_open_span->owner == this) {
-    tl_open_span = nullptr;
-  }
-}
-
-Tracer::OpenSlot* Tracer::ThreadSlotLocked() {
-  if (tl_slot_cache.tracer_id == tracer_id_) {
-    return static_cast<OpenSlot*>(tl_slot_cache.slot);
-  }
-  open_slots_.push_back(std::make_unique<OpenSlot>());
-  tl_slot_cache.tracer_id = tracer_id_;
-  tl_slot_cache.slot = open_slots_.back().get();
-  return open_slots_.back().get();
-}
+Tracer::~Tracer() = default;
 
 Tracer::Node* Tracer::Enter(const char* label) {
   Node* parent =
@@ -97,68 +69,23 @@ Tracer::Node* Tracer::Enter(const char* label) {
   if (slot == nullptr) {
     slot = std::make_unique<Node>();
     slot->label = label;
-    slot->parent = parent;
     slot->owner = this;
   }
   tl_open_span = slot.get();
-  if (sampling_enabled_.load(std::memory_order_relaxed)) {
-    ThreadSlotLocked()->top = slot.get();
-  }
   return slot.get();
 }
 
 void Tracer::Exit(Node* node, double elapsed_seconds) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (node->count == 0) {
-      node->min_seconds = elapsed_seconds;
-      node->max_seconds = elapsed_seconds;
-    } else {
-      node->min_seconds = std::min(node->min_seconds, elapsed_seconds);
-      node->max_seconds = std::max(node->max_seconds, elapsed_seconds);
-    }
-    ++node->count;
-    node->total_seconds += elapsed_seconds;
-    if (sampling_enabled_.load(std::memory_order_relaxed)) {
-      OpenSlot* open = ThreadSlotLocked();
-      // Only retract the publication if this thread still has `node` on
-      // top (a span opened before sampling was enabled never published).
-      if (open->top == node) {
-        open->top = node->parent == root_.get() ? nullptr : node->parent;
-      }
-    }
-  }
-  if (tl_open_span == node) {
-    tl_open_span = node->parent == root_.get() ? nullptr : node->parent;
-  }
-}
-
-void Tracer::SetSamplingEnabled(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
-  sampling_enabled_.store(enabled, std::memory_order_relaxed);
-  if (!enabled) {
-    for (auto& slot : open_slots_) slot->top = nullptr;
+  if (node->count == 0) {
+    node->min_seconds = elapsed_seconds;
+    node->max_seconds = elapsed_seconds;
+  } else {
+    node->min_seconds = std::min(node->min_seconds, elapsed_seconds);
+    node->max_seconds = std::max(node->max_seconds, elapsed_seconds);
   }
-}
-
-std::vector<std::string> Tracer::SampleOpenStacks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& slot : open_slots_) {
-    const Node* n = slot->top;
-    if (n == nullptr) continue;
-    std::vector<const std::string*> labels;
-    for (; n != nullptr && n != root_.get(); n = n->parent) {
-      labels.push_back(&n->label);
-    }
-    std::string folded;
-    for (auto it = labels.rbegin(); it != labels.rend(); ++it) {
-      if (!folded.empty()) folded += ';';
-      folded += **it;
-    }
-    out.push_back(std::move(folded));
-  }
-  return out;
+  ++node->count;
+  node->total_seconds += elapsed_seconds;
 }
 
 std::vector<SpanSnapshot> Tracer::Snapshot() const {
@@ -177,11 +104,47 @@ std::map<std::string, SpanAggregate> Tracer::AggregateByLabel() const {
   return out;
 }
 
+// The span object stays four words (the tracer is node_->owner, the
+// recorder is re-read on exit): it lives in the frames of the hot solver
+// functions. With six words the exact KM kernel, inlined into
+// MaxWeightAssignment next to its km_solve span, compiled differently and
+// offline_exact ran about 5% slower.
 ScopedSpan::ScopedSpan(const char* label)
-    : tracer_(&ActiveTracer()), node_(tracer_->Enter(label)) {}
+    : label_(label),
+      prev_open_(tl_open_span),
+      node_(ActiveTracer().Enter(label)) {
+  if (EventRecorder* recorder = ActiveEventRecorder()) recorder->Begin(label_);
+}
 
 ScopedSpan::~ScopedSpan() {
-  tracer_->Exit(node_, watch_.ElapsedSeconds());
+  double elapsed = watch_.ElapsedSeconds();
+  // Recorder guards are scoped like spans, so the recorder active now is
+  // the one the span began on: every Begin gets its End.
+  if (EventRecorder* recorder = ActiveEventRecorder()) recorder->End(label_);
+  node_->owner->Exit(node_, elapsed);
+  tl_open_span = prev_open_;
+}
+
+namespace {
+
+void FoldNode(const SpanSnapshot& node, const std::string& prefix,
+              std::ostringstream* out) {
+  const std::string stack =
+      prefix.empty() ? node.label : prefix + ';' + node.label;
+  const long long micros = std::llround(node.self_seconds * 1e6);
+  if (micros > 0) *out << stack << ' ' << micros << '\n';
+  for (const SpanSnapshot& child : node.children) {
+    FoldNode(child, stack, out);
+  }
+}
+
+}  // namespace
+
+Status WriteFoldedStacks(const std::vector<SpanSnapshot>& spans,
+                         const std::string& path) {
+  std::ostringstream out;
+  for (const SpanSnapshot& root : spans) FoldNode(root, "", &out);
+  return persist::WriteFileAtomic(path, out.str(), /*do_fsync=*/false);
 }
 
 }  // namespace lacb::obs

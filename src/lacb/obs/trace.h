@@ -1,4 +1,5 @@
-// Scoped-span tracing: RAII spans aggregated into a parent/child tree.
+// Scoped-span tracing: the one trace primitive. RAII spans aggregate into
+// a parent/child tree and, when a recorder is attached, onto the timeline.
 //
 // A span is opened with LACB_TRACE_SPAN("km_solve") and closes when the
 // scope exits; its wall time (via Stopwatch) is accumulated into the node
@@ -7,6 +8,12 @@
 // max) instead of appending events, so a full run's trace stays O(distinct
 // call paths) — cheap enough to leave on in production.
 //
+// Everything else is derived from the span: when the thread has an
+// EventRecorder (obs::ActiveEventRecorder(), see context.h) the span also
+// records a Begin/End slice on the Chrome-trace timeline, and
+// WriteFoldedStacks turns the aggregated tree into flamegraph input with
+// exact self times.
+//
 // Each thread tracks its own open-span chain; node creation and stat
 // accumulation are mutex-protected, so concurrent threads may share one
 // Tracer.
@@ -14,7 +21,6 @@
 #ifndef LACB_OBS_TRACE_H_
 #define LACB_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -22,11 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "lacb/common/result.h"
 #include "lacb/common/stopwatch.h"
 
 namespace lacb::obs {
 
-class Tracer;
+class EventRecorder;
 
 /// \brief Aggregated timings of one span path, with nested children.
 struct SpanSnapshot {
@@ -63,55 +70,45 @@ class Tracer {
   /// \brief Per-label totals regardless of nesting position.
   std::map<std::string, SpanAggregate> AggregateByLabel() const;
 
-  /// \brief Turns open-span publication on or off (see SampleOpenStacks).
-  /// Off by default: the only cost on the default path is one relaxed
-  /// atomic load per span enter/exit.
-  void SetSamplingEnabled(bool enabled);
-
-  /// \brief One folded call stack ("outer;inner;leaf") per thread that
-  /// currently has a span open. Requires SetSamplingEnabled(true); spans
-  /// opened before enabling publish from their next transition onward.
-  /// Safe to call concurrently with tracing threads (everything is
-  /// synchronized on the tracer mutex).
-  std::vector<std::string> SampleOpenStacks() const;
-
  private:
   friend class ScopedSpan;
 
-  /// Per-thread published top-of-stack; lives until the tracer dies.
-  struct OpenSlot {
-    Node* top = nullptr;  // guarded by mu_
-  };
-
-  /// Opens a child of this thread's innermost open span (or the root).
+  /// Opens a child of this thread's innermost open span when that span
+  /// belongs to this tracer, else of the root; makes it the open span.
   Node* Enter(const char* label);
-  /// Closes `node`, folding `elapsed_seconds` into its stats.
+  /// Folds `elapsed_seconds` into `node`'s stats.
   void Exit(Node* node, double elapsed_seconds);
-  /// This thread's slot, created on first use. Caller holds mu_.
-  OpenSlot* ThreadSlotLocked();
 
   std::unique_ptr<Node> root_;
   mutable std::mutex mu_;
-  const uint64_t tracer_id_;
-  std::atomic<bool> sampling_enabled_{false};
-  std::vector<std::unique_ptr<OpenSlot>> open_slots_;  // guarded by mu_
 };
 
 /// \brief RAII span handle; use via LACB_TRACE_SPAN.
 class ScopedSpan {
  public:
-  /// \brief Opens a span on the active tracer (see obs/context.h).
-  /// `label` must outlive the tracer (string literals qualify).
+  /// \brief Opens a span on the active tracer and, when the thread has
+  /// one, a Begin slice on the active event recorder (see obs/context.h).
+  /// `label` must outlive both (string literals qualify).
   explicit ScopedSpan(const char* label);
+  /// \brief Closes the span (and its slice) and makes the span that was
+  /// open before this one the thread's open span again.
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  Tracer* tracer_;
-  Tracer::Node* node_;
+  const char* label_;
+  Tracer::Node* prev_open_;
+  Tracer::Node* node_;  // its owner is the tracer the span closes on
   Stopwatch watch_;
 };
+
+/// \brief Writes `spans` as collapsed-stack flamegraph input: one
+/// "outer;inner;leaf <n>" line per tree path, `n` being that path's
+/// self_seconds in whole microseconds (paths with n == 0 are skipped).
+/// Written atomically; flamegraph.pl and speedscope read it as-is.
+Status WriteFoldedStacks(const std::vector<SpanSnapshot>& spans,
+                         const std::string& path);
 
 }  // namespace lacb::obs
 

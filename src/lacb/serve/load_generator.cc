@@ -134,7 +134,8 @@ Result<core::PolicyRunResult> RunPolicyServed(
   // Same run-scoped collection pattern as core::RunPolicy: everything the
   // service and its worker threads record lands in this context.
   obs::ScopedTelemetry telemetry;
-  obs::ScopedEventRecording record(options.recorder);
+  obs::ScopedContextAdoption record(&telemetry.registry(), &telemetry.tracer(),
+                                    options.recorder);
 
   LACB_ASSIGN_OR_RETURN(std::unique_ptr<AssignmentService> service,
                         AssignmentService::Create(config, factory, options.serve));
@@ -149,14 +150,6 @@ Result<core::PolicyRunResult> RunPolicyServed(
     sampler_opts.time_unit = "seconds";
     sampler = std::make_unique<obs::TimeSeriesSampler>(std::move(sampler_opts));
     LACB_RETURN_NOT_OK(sampler->StartPeriodic(options.sample_interval));
-  }
-
-  // Sampling span profiler over the run-scoped tracer: every serve thread
-  // adopts this tracer, so worker/batcher spans show up in the profile.
-  obs::SpanProfiler profiler;
-  if (options.profile_interval.count() > 0) {
-    LACB_RETURN_NOT_OK(
-        profiler.Start(&telemetry.tracer(), options.profile_interval));
   }
 
   const sim::Platform& platform = service->platform();
@@ -211,12 +204,6 @@ Result<core::PolicyRunResult> RunPolicyServed(
   result.failed_requests = stats.failed;
   service->Shutdown();
   if (sampler != nullptr) sampler->StopPeriodic();
-  if (options.profile_interval.count() > 0) {
-    profiler.Stop();
-    if (!options.profile_path.empty()) {
-      LACB_RETURN_NOT_OK(profiler.WriteFolded(options.profile_path));
-    }
-  }
 
   obs::MetricsSnapshot metrics = telemetry.registry().Snapshot();
   auto latency = metrics.histograms.find("serve.batch_assign_seconds");
@@ -224,23 +211,20 @@ Result<core::PolicyRunResult> RunPolicyServed(
     result.p99_batch_latency = latency->second.p99;
   }
 
-  if (obs::CollectionEnabled()) {
-    std::map<std::string, std::string> meta;
-    meta["policy"] = result.policy;
-    meta["dataset"] = result.dataset;
-    meta["path"] = "serve";
-    meta["num_brokers"] = std::to_string(n);
-    meta["num_days"] = std::to_string(days);
-    meta["num_workers"] = std::to_string(options.serve.num_workers);
-    meta["policy_seconds"] = std::to_string(result.policy_seconds);
-    meta["degraded_batches"] = std::to_string(stats.degraded_batches);
-    meta["failed_requests"] = std::to_string(stats.failed);
-    obs::RunTelemetry captured = obs::CaptureRun(
-        telemetry.registry(), telemetry.tracer(), std::move(meta));
-    if (sampler != nullptr) captured.series = sampler->Series();
-    result.telemetry =
-        std::make_shared<obs::RunTelemetry>(std::move(captured));
-  }
+  std::map<std::string, std::string> meta;
+  meta["policy"] = result.policy;
+  meta["dataset"] = result.dataset;
+  meta["path"] = "serve";
+  meta["num_brokers"] = std::to_string(n);
+  meta["num_days"] = std::to_string(days);
+  meta["num_workers"] = std::to_string(options.serve.num_workers);
+  meta["policy_seconds"] = std::to_string(result.policy_seconds);
+  meta["degraded_batches"] = std::to_string(stats.degraded_batches);
+  meta["failed_requests"] = std::to_string(stats.failed);
+  obs::RunTelemetry captured = obs::CaptureRun(
+      telemetry.registry(), telemetry.tracer(), std::move(meta));
+  if (sampler != nullptr) captured.series = sampler->Series();
+  result.telemetry = std::make_shared<obs::RunTelemetry>(std::move(captured));
   return result;
 }
 

@@ -70,17 +70,11 @@ struct ServedRunOptions {
   std::vector<std::string> sample_instruments;
   /// Optional event-timeline recorder (not owned): installed for the
   /// driving thread and forwarded by the service to its batcher/worker
-  /// threads, so one request is traceable across the pipeline.
+  /// threads, so one request is traceable across the pipeline and every
+  /// span (serve.batch, km_solve, ...) shows up as a slice. For a
+  /// flamegraph, pass the result's RunTelemetry::spans to
+  /// obs::WriteFoldedStacks.
   obs::EventRecorder* recorder = nullptr;
-  /// Sampling span profiler: walks every thread's open LACB_TRACE_SPAN
-  /// stack at this cadence and aggregates folded call stacks. Zero (the
-  /// default) disables sampling entirely — span enter/exit then pays one
-  /// relaxed atomic load, nothing else.
-  std::chrono::milliseconds profile_interval{0};
-  /// Where the folded-stack profile is written after the run
-  /// ("outer;inner;leaf count" lines — flamegraph.pl / speedscope input).
-  /// Empty: don't write a file (sampling still runs when enabled).
-  std::string profile_path;
 };
 
 /// \brief Submits day `day` of the service's request schedule in the given

@@ -736,7 +736,6 @@ void AssignmentService::WorkerLoop(size_t worker_index) {
 
 Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
   LACB_TRACE_SPAN("serve.batch");
-  obs::ScopedTimelineEvent timeline("serve.batch");
   const bool attribute = stage_queue_wait_hist_ != nullptr;
   std::chrono::steady_clock::time_point picked_up{};
   if (attribute) picked_up = std::chrono::steady_clock::now();
@@ -816,7 +815,6 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
     degraded = true;
   } else {
     LACB_TRACE_SPAN("serve.assign");
-    obs::ScopedTimelineEvent timeline_assign("serve.assign");
     Stopwatch sw;
     LACB_ASSIGN_OR_RETURN(assignment,
                           replicas_[worker_index]->AssignBatch(input));
@@ -1042,7 +1040,6 @@ Status AssignmentService::CommitWithRetry(
     }
     {
       LACB_TRACE_SPAN("serve.commit");
-      obs::ScopedTimelineEvent timeline_commit("serve.commit");
       std::lock_guard<std::mutex> lock(env_mu_);
       if (terminal_tokens_.count(batch.token) != 0) {
         return Status::OK();  // a twin finished this batch; not the owner

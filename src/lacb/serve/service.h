@@ -611,8 +611,8 @@ class AssignmentService {
   std::chrono::steady_clock::time_point last_incident_;
 
   // Telemetry (captured from the Start() caller's active context; the
-  // recorder is null unless the caller had a ScopedEventRecording open,
-  // and is forwarded to the batcher/worker threads).
+  // recorder is null unless the caller installed one with
+  // ScopedContextAdoption, and is forwarded to the batcher/worker threads).
   obs::MetricRegistry* registry_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::EventRecorder* recorder_ = nullptr;

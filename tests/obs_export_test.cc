@@ -1,5 +1,6 @@
-// Exporter plane of lacb/obs: event-timeline recording + Chrome trace
-// JSON, Prometheus text exposition + the HTTP scrape endpoint, and
+// Exporter plane of lacb/obs: event-timeline recording (spans as slices)
+// + Chrome trace JSON, folded-stack flamegraphs from the span tree,
+// Prometheus text exposition + the HTTP scrape endpoint, and
 // time-series telemetry — plus the gate that a fully instrumented
 // lockstep serve run stays bit-identical to the offline engine.
 
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lacb/core/engine.h"
@@ -123,21 +126,6 @@ TEST(EventRecorderTest, DropOldestKeepsNewestAndCounts) {
   }
 }
 
-TEST(EventRecorderTest, ScopedTimelineEventNoOpWithoutRecorder) {
-  // No recorder installed: must not crash, must not record anywhere.
-  { obs::ScopedTimelineEvent ev("orphan"); }
-
-  EventRecorder recorder;
-  {
-    obs::ScopedEventRecording guard(&recorder);
-    obs::ScopedTimelineEvent ev("scoped");
-  }
-  TraceSnapshot snap = recorder.Snapshot();
-  ASSERT_EQ(snap.events.size(), 2u);
-  EXPECT_EQ(snap.events[0].phase, EventPhase::kBegin);
-  EXPECT_EQ(snap.events[1].phase, EventPhase::kEnd);
-}
-
 // ---------------------------------------------------------------------------
 // Chrome trace export.
 // ---------------------------------------------------------------------------
@@ -165,6 +153,50 @@ void ExpectBalancedSlices(const JsonValue& trace) {
   }
   for (const auto& [tid, stack] : open) {
     EXPECT_TRUE(stack.empty()) << "unclosed slice on tid " << tid;
+  }
+}
+
+// Spans are the timeline's only source of slices: nothing is recorded
+// without a recorder, and under one nested spans become balanced B/E pairs
+// in LIFO order, still aggregated into the run's span tree.
+TEST(ChromeTraceTest, SpansRecordBalancedSlicesOnlyUnderARecorder) {
+  EventRecorder recorder;
+  obs::ScopedTelemetry telemetry;
+  ASSERT_EQ(obs::ActiveEventRecorder(), nullptr);
+  { LACB_TRACE_SPAN("orphan"); }
+  EXPECT_TRUE(recorder.Snapshot().events.empty());
+
+  {
+    obs::ScopedContextAdoption adopt(&telemetry.registry(),
+                                     &telemetry.tracer(), &recorder);
+    LACB_TRACE_SPAN("outer");
+    { LACB_TRACE_SPAN("first"); }
+    {
+      LACB_TRACE_SPAN("second");
+      { LACB_TRACE_SPAN("leaf"); }
+    }
+  }
+  { LACB_TRACE_SPAN("after"); }
+  EXPECT_EQ(obs::ActiveEventRecorder(), nullptr);
+
+  TraceSnapshot snap = recorder.Snapshot();
+  const std::vector<std::pair<std::string, EventPhase>> expected = {
+      {"outer", EventPhase::kBegin},  {"first", EventPhase::kBegin},
+      {"first", EventPhase::kEnd},    {"second", EventPhase::kBegin},
+      {"leaf", EventPhase::kBegin},   {"leaf", EventPhase::kEnd},
+      {"second", EventPhase::kEnd},   {"outer", EventPhase::kEnd}};
+  ASSERT_EQ(snap.events.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(snap.events[i].name, expected[i].first) << "event " << i;
+    EXPECT_EQ(snap.events[i].phase, expected[i].second) << "event " << i;
+  }
+  ExpectBalancedSlices(ChromeTraceJson(snap, "spans"));
+
+  std::map<std::string, obs::SpanAggregate> agg =
+      telemetry.tracer().AggregateByLabel();
+  for (const char* label : {"orphan", "outer", "first", "second", "leaf",
+                            "after"}) {
+    EXPECT_EQ(agg.count(label), 1u) << label;
   }
 }
 
@@ -263,6 +295,68 @@ TEST(ChromeTraceTest, ServeRunConnectsRequestFlowAcrossThreads) {
       JsonValue::Parse(ChromeTraceJson(snap, "serve").ToString());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ExpectBalancedSlices(parsed.value());
+
+  // The worker's spans are on the timeline too, nested as in the span
+  // tree: a solver-side slice opens inside serve.batch.
+  std::map<uint32_t, std::vector<std::string>> open;  // tid -> slice stack
+  bool nested_solver_slice = false;
+  for (const auto& e : snap.events) {
+    std::vector<std::string>& stack = open[e.tid];
+    if (e.phase == EventPhase::kBegin) {
+      const std::string name = e.name;
+      if ((name == "km_solve" || name == "serve.utility_matrix") &&
+          std::find(stack.begin(), stack.end(), "serve.batch") !=
+              stack.end()) {
+        nested_solver_slice = true;
+      }
+      stack.push_back(name);
+    } else if (e.phase == EventPhase::kEnd && !stack.empty()) {
+      stack.pop_back();
+    }
+  }
+  EXPECT_TRUE(nested_solver_slice)
+      << "no km_solve / serve.utility_matrix slice inside serve.batch";
+}
+
+// ---------------------------------------------------------------------------
+// Flamegraph from the span tree.
+// ---------------------------------------------------------------------------
+
+TEST(FoldedStacksTest, WritesSelfMicrosPerPathAndSkipsZeroWeight) {
+  auto span = [](const std::string& label, double self_seconds,
+                 std::vector<obs::SpanSnapshot> children = {}) {
+    obs::SpanSnapshot s;
+    s.label = label;
+    s.count = 1;
+    s.self_seconds = self_seconds;
+    s.children = std::move(children);
+    return s;
+  };
+  // a (1.5 ms self) -> {b (250 us), idle (0)}, and a second root c (2 s)
+  // whose only child z rounds to zero microseconds.
+  std::vector<obs::SpanSnapshot> forest = {
+      span("a", 1.5e-3, {span("b", 250e-6), span("idle", 0.0)}),
+      span("c", 2.0, {span("z", 1e-7)})};
+  const std::string path = ::testing::TempDir() + "obs_export_stacks.folded";
+  ASSERT_TRUE(obs::WriteFoldedStacks(forest, path).ok());
+
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"a 1500", "a;b 250",
+                                             "c 2000000"}));
+  for (const std::string& line : lines) {
+    // Every line is "stack <int>" with a non-empty stack and positive int.
+    size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    EXPECT_GT(space, 0u) << line;
+    const std::string count = line.substr(space + 1);
+    ASSERT_FALSE(count.empty()) << line;
+    EXPECT_EQ(count.find_first_not_of("0123456789"), std::string::npos)
+        << line;
+    EXPECT_GT(std::stoll(count), 0) << line;
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -479,44 +573,6 @@ TEST(TimeSeriesTest, JsonAndJsonlRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(TimeSeriesTest, EngineTicksAttachedSamplerOncePerDay) {
-  sim::DatasetConfig cfg = TinyConfig();
-  core::PolicySuiteConfig suite;
-  suite.seed = 55;
-  auto policy = core::MakeSuitePolicy(cfg, suite, 8);  // LACB-Opt
-  ASSERT_TRUE(policy.ok());
-
-  obs::TimeSeriesSampler::Options opts;
-  opts.time_unit = "day";
-  obs::TimeSeriesSampler sampler(opts);
-  obs::ScopedSamplerAttachment attach(&sampler);
-  auto result = core::RunPolicy(cfg, policy->get());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  obs::TimeSeries series = sampler.Series();
-  ASSERT_EQ(series.points.size(), cfg.num_days);
-  for (size_t d = 0; d < series.points.size(); ++d) {
-    EXPECT_DOUBLE_EQ(series.points[d].t, static_cast<double>(d));
-    EXPECT_EQ(series.points[d].values.count("engine.day_utility"), 1u);
-    EXPECT_EQ(series.points[d].values.count("engine.workload_gini"), 1u);
-    // LACB policies expose their capacity-estimate error against latent
-    // truth.
-    EXPECT_EQ(series.points[d].values.count("engine.capacity_mae"), 1u);
-  }
-  // The per-day trajectory rides inside the run's telemetry snapshot and
-  // survives the JSON round trip.
-  ASSERT_NE(result->telemetry, nullptr);
-  ASSERT_EQ(result->telemetry->series.points.size(), cfg.num_days);
-  Result<JsonValue> parsed =
-      JsonValue::Parse(result->telemetry->ToJson().ToString());
-  ASSERT_TRUE(parsed.ok());
-  Result<obs::RunTelemetry> restored =
-      obs::RunTelemetry::FromJson(parsed.value());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->series.points.size(), cfg.num_days);
-  EXPECT_EQ(restored->series.time_unit, "day");
-}
-
 TEST(TimeSeriesTest, IrregularManualIntervalsArePreservedVerbatim) {
   // Manual cadence makes no spacing assumptions: bursty, near-duplicate,
   // and widely spaced timestamps all land as-is, in call order.
@@ -554,35 +610,6 @@ TEST(TimeSeriesTest, RunShorterThanOneIntervalStillYieldsAFinalSample) {
   EXPECT_DOUBLE_EQ(series.points.back().values.at("short.gauge"), 7.0);
 
   EXPECT_FALSE(sampler.StartPeriodic(std::chrono::milliseconds(0)).ok());
-}
-
-TEST(TimeSeriesTest, ScopedAttachmentNestsAndRestoresMidRun) {
-  obs::MetricRegistry registry;
-  registry.GetGauge("n.gauge").Set(1.0);
-  obs::TimeSeriesSampler outer;
-  obs::TimeSeriesSampler inner;
-
-  EXPECT_EQ(obs::ActiveSampler(), nullptr);
-  {
-    obs::ScopedSamplerAttachment attach_outer(&outer);
-    ASSERT_EQ(obs::ActiveSampler(), &outer);
-    obs::ActiveSampler()->Sample(0.0, registry);
-    {
-      // Mid-run re-attachment diverts ticks to the inner sampler...
-      obs::ScopedSamplerAttachment attach_inner(&inner);
-      ASSERT_EQ(obs::ActiveSampler(), &inner);
-      obs::ActiveSampler()->Sample(1.0, registry);
-    }
-    // ... and detaching restores the outer one, not null.
-    ASSERT_EQ(obs::ActiveSampler(), &outer);
-    obs::ActiveSampler()->Sample(2.0, registry);
-  }
-  EXPECT_EQ(obs::ActiveSampler(), nullptr);
-
-  ASSERT_EQ(outer.num_points(), 2u);
-  ASSERT_EQ(inner.num_points(), 1u);
-  EXPECT_DOUBLE_EQ(outer.Series().points[1].t, 2.0);
-  EXPECT_DOUBLE_EQ(inner.Series().points[0].t, 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,14 @@
 // Unit tests for the performance-attribution plane primitives: SLO
 // burn-rate math (multi-window gating, window edges, budget exhaustion,
-// recovery hysteresis), the sampling span profiler's folded stacks, and
-// the build-info exposition preamble.
+// recovery hysteresis) and the build-info exposition preamble.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "lacb/obs/build_info.h"
-#include "lacb/obs/context.h"
-#include "lacb/obs/profiler.h"
 #include "lacb/obs/slo.h"
-#include "lacb/obs/trace.h"
 
 namespace lacb::obs {
 namespace {
@@ -200,67 +195,6 @@ TEST(SloTrackerTest, ReEscalationResetsTheHold) {
   for (int i = 0; i < 10000; ++i) (*tracker)->RecordAt(true, t2);
   EXPECT_EQ((*tracker)->EvaluateAt(t2).state, BurnState::kFastBurn);
   EXPECT_EQ((*tracker)->EvaluateAt(t0 + seconds(155)).state, BurnState::kOk);
-}
-
-// --- Span profiler ---
-
-TEST(SpanProfilerTest, FoldsNestedOpenStacks) {
-  ScopedTelemetry telemetry;
-  SpanProfiler profiler;
-  // A huge interval keeps the background thread asleep so every sweep
-  // below is a deterministic manual SampleOnce().
-  ASSERT_TRUE(
-      profiler.Start(&telemetry.tracer(), std::chrono::minutes(60)).ok());
-  {
-    LACB_TRACE_SPAN("outer");
-    {
-      LACB_TRACE_SPAN("inner");
-      profiler.SampleOnce();
-      profiler.SampleOnce();
-    }
-    profiler.SampleOnce();
-  }
-  auto counts = profiler.FoldedCounts();
-  profiler.Stop();
-  EXPECT_EQ(counts["outer;inner"], 2u);
-  EXPECT_EQ(counts["outer"], 1u);
-  EXPECT_GE(profiler.sweeps(), 3u);
-}
-
-TEST(SpanProfilerTest, WriteFoldedEmitsFlamegraphInput) {
-  ScopedTelemetry telemetry;
-  SpanProfiler profiler;
-  ASSERT_TRUE(
-      profiler.Start(&telemetry.tracer(), std::chrono::minutes(60)).ok());
-  {
-    LACB_TRACE_SPAN("serve.day");
-    {
-      LACB_TRACE_SPAN("km_solve");
-      profiler.SampleOnce();
-    }
-  }
-  profiler.Stop();
-  const std::string path = ::testing::TempDir() + "slo_test_profile.folded";
-  ASSERT_TRUE(profiler.WriteFolded(path).ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("serve.day;km_solve 1"), std::string::npos);
-}
-
-TEST(SpanProfilerTest, StartValidatesArguments) {
-  ScopedTelemetry telemetry;
-  SpanProfiler profiler;
-  EXPECT_FALSE(profiler.Start(nullptr, std::chrono::milliseconds(1)).ok());
-  EXPECT_FALSE(
-      profiler.Start(&telemetry.tracer(), std::chrono::milliseconds(0)).ok());
-  ASSERT_TRUE(
-      profiler.Start(&telemetry.tracer(), std::chrono::minutes(60)).ok());
-  EXPECT_FALSE(
-      profiler.Start(&telemetry.tracer(), std::chrono::minutes(60)).ok());
-  profiler.Stop();
-  profiler.Stop();  // idempotent
 }
 
 // --- Build info ---
