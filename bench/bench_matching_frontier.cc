@@ -25,7 +25,6 @@
 #include "bench_util.h"
 #include "lacb/matching/approx/parallel_bmatch.h"
 #include "lacb/matching/approx/scoring.h"
-#include "lacb/matching/approx/solver_select.h"
 
 namespace lacb {
 namespace {

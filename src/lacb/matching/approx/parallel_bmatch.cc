@@ -79,7 +79,6 @@ struct SolveState {
   const ScoreMatrix& scores;
   const std::vector<int64_t>& caps;
   size_t num_threads;
-  size_t max_rounds;
 
   std::vector<size_t> slot_offset;            // per column, into slots
   std::vector<std::atomic<uint64_t>> slots;   // packed suitor keys, 0=empty
@@ -99,12 +98,10 @@ struct SolveState {
   std::atomic<bool> done{false};
   uint64_t rounds = 0;                        // thread 0, between barriers
 
-  SolveState(const ScoreMatrix& s, const std::vector<int64_t>& c, size_t t,
-             size_t max_r)
+  SolveState(const ScoreMatrix& s, const std::vector<int64_t>& c, size_t t)
       : scores(s),
         caps(c),
         num_threads(t),
-        max_rounds(max_r),
         cursors(t),
         evicted(t),
         proposals(t, 0),
@@ -220,10 +217,7 @@ void WorkerLoop(SolveState* st, size_t thread_index) {
         st->pending.insert(st->pending.end(), q.begin(), q.end());
         q.clear();
       }
-      const bool out_of_rounds =
-          st->max_rounds != 0 && st->rounds >= st->max_rounds;
-      st->done.store(st->pending.empty() || out_of_rounds,
-                     std::memory_order_relaxed);
+      st->done.store(st->pending.empty(), std::memory_order_relaxed);
       PartitionPending(st);
     }
     st->barrier.Arrive();
@@ -276,7 +270,7 @@ Result<BMatchResult> ParallelBMatch(const ScoreMatrix& scores,
     return result;
   }
 
-  SolveState st(scores, capacities, num_threads, options.max_rounds);
+  SolveState st(scores, capacities, num_threads);
   st.slot_offset = std::move(slot_offset);
   st.slots = std::vector<std::atomic<uint64_t>>(total_slots);
   st.thresholds = std::vector<std::atomic<uint64_t>>(cols);

@@ -44,9 +44,6 @@ struct BMatchOptions {
   /// Worker threads. The assignment is bit-identical at any value; 1 runs
   /// inline on the calling thread (no spawns, no atomic contention).
   size_t num_threads = 1;
-  /// Safety valve on proposal rounds; 0 = until convergence (the scheme
-  /// always terminates: admission thresholds only rise).
-  size_t max_rounds = 0;
 };
 
 /// \brief One solve's result.

@@ -66,35 +66,6 @@ Status GatherRefinedColumns(const la::Matrix& utility,
   return Status::OK();
 }
 
-Status BuildScoreMatrix(const la::Matrix& utility,
-                        const std::vector<size_t>& eligible,
-                        const std::vector<double>* column_delta,
-                        ScoreMatrix* out) {
-  if (column_delta != nullptr && column_delta->size() != eligible.size()) {
-    return Status::InvalidArgument(
-        "column_delta must have one entry per eligible column");
-  }
-  LACB_RETURN_NOT_OK(CheckEligible(utility, eligible));
-  out->Reset(utility.rows(), eligible.size());
-  const size_t m = eligible.size();
-  const size_t* idx = eligible.data();
-  for (size_t r = 0; r < utility.rows(); ++r) {
-    const double* src = utility.RowPtr(r);
-    float* dst = out->RowPtr(r);
-    if (column_delta == nullptr) {
-      for (size_t i = 0; i < m; ++i) {
-        dst[i] = static_cast<float>(src[idx[i]]);
-      }
-    } else {
-      const double* delta = column_delta->data();
-      for (size_t i = 0; i < m; ++i) {
-        dst[i] = static_cast<float>(src[idx[i]] + delta[i]);
-      }
-    }
-  }
-  return Status::OK();
-}
-
 void ToScoreMatrix(const la::Matrix& weights, ScoreMatrix* out) {
   out->Reset(weights.rows(), weights.cols());
   const double* src = weights.data().data();

@@ -62,14 +62,6 @@ Status GatherRefinedColumns(const la::Matrix& utility,
                             const std::vector<double>& column_delta,
                             la::Matrix* out);
 
-/// \brief Same gather into the float score domain. `column_delta` may be
-/// null (no refinement); the add happens in double before the rounding so
-/// the float path sees the identical refined value.
-Status BuildScoreMatrix(const la::Matrix& utility,
-                        const std::vector<size_t>& eligible,
-                        const std::vector<double>* column_delta,
-                        ScoreMatrix* out);
-
 /// \brief Plain dense conversion of a prebuilt weight matrix.
 void ToScoreMatrix(const la::Matrix& weights, ScoreMatrix* out);
 

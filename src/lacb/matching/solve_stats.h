@@ -2,11 +2,10 @@
 //
 // Every solver (Kuhn–Munkres, min-cost flow, the parallel b-Suitor
 // approximation, the greedy fallback) can optionally fill one of these
-// describing the problem it solved and the work it did — the evidence a
-// per-batch solver auto-selector needs and the payload behind the
-// serve.solver_* instruments. Collection is opt-in via a nullable
-// out-parameter so the default solve path does no extra clock reads or
-// bookkeeping.
+// describing the problem it solved and the work it did — the payload
+// behind the serve.solver.* instruments and the offline per-batch solver
+// report. Collection is opt-in via a nullable out-parameter so the default
+// solve path does no extra clock reads or bookkeeping.
 
 #ifndef LACB_MATCHING_SOLVE_STATS_H_
 #define LACB_MATCHING_SOLVE_STATS_H_
@@ -44,10 +43,6 @@ struct SolveStats {
   uint64_t rounds = 0;
   uint64_t proposals = 0;
   uint64_t steals = 0;
-  /// kAuto selector decisions folded into this record (how many solves
-  /// the cost model routed to each backend).
-  uint64_t auto_km_selected = 0;
-  uint64_t auto_approx_selected = 0;
   /// Wall-clock attribution. Phases are disjoint slices of the solve, so
   /// build + search + update <= total (the remainder is glue).
   double total_seconds = 0.0;
@@ -59,10 +54,7 @@ struct SolveStats {
   /// several solver calls). Sizes keep the componentwise max so the merged
   /// record still describes the largest subproblem.
   void MergeFrom(const SolveStats& other) {
-    if (other.solves == 0 && other.solver.empty() &&
-        other.auto_km_selected == 0 && other.auto_approx_selected == 0) {
-      return;
-    }
+    if (other.solves == 0 && other.solver.empty()) return;
     if (solver.empty()) {
       solver = other.solver;
     } else if (!other.solver.empty() && solver != other.solver) {
@@ -78,8 +70,6 @@ struct SolveStats {
     rounds += other.rounds;
     proposals += other.proposals;
     steals += other.steals;
-    auto_km_selected += other.auto_km_selected;
-    auto_approx_selected += other.auto_approx_selected;
     total_seconds += other.total_seconds;
     phase_build_seconds += other.phase_build_seconds;
     phase_search_seconds += other.phase_search_seconds;

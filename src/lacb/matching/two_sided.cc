@@ -145,7 +145,7 @@ Result<TwoSidedAssignment> TwoSidedApprox(const la::Matrix& weights,
     }
   }
   approx::BMatchOptions opts;
-  opts.num_threads = num_threads == 0 ? 1 : num_threads;
+  opts.num_threads = num_threads;
   LACB_ASSIGN_OR_RETURN(
       approx::BMatchResult solved,
       approx::ParallelBMatch(transposed, params.limits, opts, stats));

@@ -32,7 +32,7 @@ Result<std::vector<int64_t>> AnPolicy::AssignBatch(const BatchInput& input) {
     if (w[c] < capacity_[c]) eligible.push_back(c);
   }
   return SolveBatchAssignment(u, eligible, config_.pad_to_square,
-                              solver_config(), StatsSink(input));
+                              StatsSink(input));
 }
 
 Status AnPolicy::EndDay(const sim::DayOutcome& outcome) {

@@ -1,23 +1,18 @@
 #include "lacb/policy/assignment_policy.h"
 
-#include "lacb/matching/approx/parallel_bmatch.h"
 #include "lacb/matching/approx/scoring.h"
 #include "lacb/matching/assignment.h"
 
 namespace lacb::policy {
 
-namespace {
-
-namespace approx = matching::approx;
-
-// Exact-KM batch assignment (the historical SolveBatchAssignment body,
-// with the submatrix gathers routed through the shared scoring kernels —
-// identical arithmetic, so results are byte-identical).
-Result<std::vector<int64_t>> SolveBatchExact(
+Result<std::vector<int64_t>> SolveBatchAssignment(
     const la::Matrix& utility, const std::vector<size_t>& eligible,
-    bool pad_to_square, matching::SolveStats* stats,
-    std::vector<int64_t>* out) {
+    bool pad_to_square, matching::SolveStats* stats) {
+  namespace approx = matching::approx;
   const size_t num_requests = utility.rows();
+  std::vector<int64_t> out(num_requests, matching::kUnmatched);
+  if (eligible.empty() || num_requests == 0) return out;
+  // The gathers reject eligible columns outside the utility width.
   if (eligible.size() >= num_requests) {
     la::Matrix w;
     LACB_RETURN_NOT_OK(approx::GatherColumns(utility, eligible, &w));
@@ -31,10 +26,10 @@ Result<std::vector<int64_t>> SolveBatchExact(
     for (size_t r = 0; r < num_requests; ++r) {
       int64_t col = a.col_of_row[r];
       if (col != matching::kUnmatched) {
-        (*out)[r] = static_cast<int64_t>(eligible[static_cast<size_t>(col)]);
+        out[r] = static_cast<int64_t>(eligible[static_cast<size_t>(col)]);
       }
     }
-    return *out;
+    return out;
   }
 
   // Fewer brokers than requests: solve the transposed problem so every
@@ -46,65 +41,10 @@ Result<std::vector<int64_t>> SolveBatchExact(
   for (size_t c = 0; c < eligible.size(); ++c) {
     int64_t r = a.col_of_row[c];
     if (r != matching::kUnmatched) {
-      (*out)[static_cast<size_t>(r)] = static_cast<int64_t>(eligible[c]);
+      out[static_cast<size_t>(r)] = static_cast<int64_t>(eligible[c]);
     }
   }
-  return *out;
-}
-
-// Approximate route: unit-capacity parallel b-matching over the eligible
-// columns. Handles either orientation without transposing (surplus
-// requests simply stay unmatched).
-Result<std::vector<int64_t>> SolveBatchApprox(
-    const la::Matrix& utility, const std::vector<size_t>& eligible,
-    const approx::SolverConfig& solver, matching::SolveStats* stats,
-    std::vector<int64_t>* out) {
-  approx::ScoreMatrix scores;
-  LACB_RETURN_NOT_OK(
-      approx::BuildScoreMatrix(utility, eligible, nullptr, &scores));
-  std::vector<int64_t> caps(eligible.size(), 1);
-  approx::BMatchOptions opts;
-  opts.num_threads = solver.approx_threads;
-  LACB_ASSIGN_OR_RETURN(approx::BMatchResult bm,
-                        approx::ParallelBMatch(scores, caps, opts, stats));
-  for (size_t r = 0; r < utility.rows(); ++r) {
-    int64_t col = bm.col_of_row[r];
-    if (col != matching::kUnmatched) {
-      (*out)[r] = static_cast<int64_t>(eligible[static_cast<size_t>(col)]);
-    }
-  }
-  return *out;
-}
-
-}  // namespace
-
-Result<std::vector<int64_t>> SolveBatchAssignment(
-    const la::Matrix& utility, const std::vector<size_t>& eligible,
-    bool pad_to_square, matching::SolveStats* stats) {
-  return SolveBatchAssignment(utility, eligible, pad_to_square,
-                              matching::approx::SolverConfig{}, stats);
-}
-
-Result<std::vector<int64_t>> SolveBatchAssignment(
-    const la::Matrix& utility, const std::vector<size_t>& eligible,
-    bool pad_to_square, const matching::approx::SolverConfig& solver,
-    matching::SolveStats* stats) {
-  size_t num_requests = utility.rows();
-  std::vector<int64_t> out(num_requests, matching::kUnmatched);
-  if (eligible.empty() || num_requests == 0) return out;
-  for (size_t c : eligible) {
-    if (c >= utility.cols()) {
-      return Status::OutOfRange("eligible broker column out of range");
-    }
-  }
-  const size_t small_side = std::min(num_requests, eligible.size());
-  const size_t large_side = std::max(num_requests, eligible.size());
-  const approx::SolverChoice choice =
-      approx::ResolveChoice(solver, small_side, large_side, stats);
-  if (choice == approx::SolverChoice::kApprox) {
-    return SolveBatchApprox(utility, eligible, solver, stats, &out);
-  }
-  return SolveBatchExact(utility, eligible, pad_to_square, stats, &out);
+  return out;
 }
 
 }  // namespace lacb::policy

@@ -17,7 +17,6 @@
 
 #include "lacb/common/result.h"
 #include "lacb/la/matrix.h"
-#include "lacb/matching/approx/solver_select.h"
 #include "lacb/matching/solve_stats.h"
 #include "lacb/persist/bytes.h"
 #include "lacb/sim/platform.h"
@@ -88,17 +87,6 @@ class AssignmentPolicy {
     return solve_stats_valid_ ? &solve_stats_ : nullptr;
   }
 
-  /// \brief Installs the matching-backend routing configuration. The
-  /// default (SolverChoice::kExactKm) keeps every solve on the historical
-  /// exact-KM path byte-for-byte; policies that run no batch solver ignore
-  /// it. The serving layer applies ServeOptions::solver to each replica.
-  void set_solver_config(const matching::approx::SolverConfig& config) {
-    solver_config_ = config;
-  }
-  const matching::approx::SolverConfig& solver_config() const {
-    return solver_config_;
-  }
-
  protected:
   /// \brief Policies call this at the top of AssignBatch: resets the
   /// per-batch record and returns the stats sink to thread into solver
@@ -112,7 +100,6 @@ class AssignmentPolicy {
  private:
   matching::SolveStats solve_stats_;
   bool solve_stats_valid_ = false;
-  matching::approx::SolverConfig solver_config_;
 };
 
 /// \brief Builds fresh, identically-configured policy instances on demand.
@@ -135,17 +122,6 @@ using PolicyFactory =
 Result<std::vector<int64_t>> SolveBatchAssignment(
     const la::Matrix& utility, const std::vector<size_t>& eligible,
     bool pad_to_square, matching::SolveStats* stats = nullptr);
-
-/// \brief Routed variant: resolves `solver` per batch (exact KM, parallel
-/// approx, or the calibrated kAuto selector) and solves accordingly. The
-/// default SolverConfig reproduces the plain overload byte-for-byte; the
-/// approx route runs the deterministic parallel ½-approx b-matching solver
-/// with unit per-broker capacity (the per-batch residual constraint the
-/// exact formulation also enforces).
-Result<std::vector<int64_t>> SolveBatchAssignment(
-    const la::Matrix& utility, const std::vector<size_t>& eligible,
-    bool pad_to_square, const matching::approx::SolverConfig& solver,
-    matching::SolveStats* stats = nullptr);
 
 }  // namespace lacb::policy
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "lacb/matching/approx/parallel_bmatch.h"
 #include "lacb/matching/approx/scoring.h"
 #include "lacb/matching/assignment.h"
 #include "lacb/matching/selection.h"
@@ -126,33 +125,11 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
         .Increment(eligible.size() - active.size());
   }
 
-  // Alg. 2 line 7: match on the (padded or pruned) graph. The routed
-  // solver config can swap the exact KM solve for the parallel ½-approx
-  // b-matching solver on large batches; the default keeps exact KM. The
-  // km_solve span and KM iteration counters live inside
+  // Alg. 2 line 7: match on the (padded or pruned) graph. The km_solve
+  // span and KM iteration counters live inside
   // matching::MaxWeightAssignment.
-  namespace approx = matching::approx;
-  const approx::SolverChoice choice = approx::ResolveChoice(
-      solver_config(),
-      std::min(solve_matrix->rows(), solve_matrix->cols()),
-      std::max(solve_matrix->rows(), solve_matrix->cols()), stats);
   matching::Assignment assignment;
-  if (choice == approx::SolverChoice::kApprox) {
-    // The b-matching solver handles either orientation directly (surplus
-    // requests simply stay unmatched), so no transpose branch here.
-    std::vector<int64_t> caps(solve_matrix->cols(), 1);
-    approx::BMatchOptions opts;
-    opts.num_threads = solver_config().approx_threads;
-    LACB_ASSIGN_OR_RETURN(
-        approx::BMatchResult bm,
-        approx::ParallelBMatch(*solve_matrix, caps, opts, stats));
-    for (size_t r = 0; r < num_requests; ++r) {
-      int64_t col = bm.col_of_row[r];
-      if (col == matching::kUnmatched) continue;
-      size_t local = active[static_cast<size_t>(col)];
-      out[r] = static_cast<int64_t>(eligible[local]);
-    }
-  } else if (solve_matrix->rows() <= solve_matrix->cols()) {
+  if (solve_matrix->rows() <= solve_matrix->cols()) {
     if (config_.use_cbs || !config_.pad_to_square) {
       LACB_ASSIGN_OR_RETURN(
           assignment, matching::MaxWeightAssignment(*solve_matrix, stats));

@@ -1,6 +1,8 @@
 #include "lacb/scenario/spec.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace lacb::scenario {
 namespace {
@@ -14,6 +16,21 @@ Result<double> GetNumber(const obs::JsonValue& obj, const char* key,
                                    "' must be a number");
   }
   return v->as_number();
+}
+
+// Integer field of type T: the JSON number must be finite, integral and in
+// [0, 2^digits(T)), so the cast below is exact and defined.
+template <typename T>
+Result<T> GetCount(const obs::JsonValue& obj, const char* key, T fallback) {
+  LACB_ASSIGN_OR_RETURN(double x,
+                        GetNumber(obj, key, static_cast<double>(fallback)));
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(std::isfinite(x) && x >= 0.0 && x < limit && std::floor(x) == x)) {
+    return Status::InvalidArgument(std::string("scenario field '") + key +
+                                   "' must be a non-negative integer in "
+                                   "range");
+  }
+  return static_cast<T>(x);
 }
 
 Result<bool> GetBool(const obs::JsonValue& obj, const char* key,
@@ -198,10 +215,8 @@ Result<ScenarioSpec> ScenarioSpec::FromJson(const obs::JsonValue& v) {
     return Status::InvalidArgument("scenario spec must be a JSON object");
   }
   ScenarioSpec spec;
-  LACB_ASSIGN_OR_RETURN(double version, GetNumber(v, "version", 1.0));
-  spec.version = static_cast<int64_t>(version);
-  LACB_ASSIGN_OR_RETURN(double seed, GetNumber(v, "seed", 1.0));
-  spec.seed = static_cast<uint64_t>(seed);
+  LACB_ASSIGN_OR_RETURN(spec.version, GetCount<int64_t>(v, "version", 1));
+  LACB_ASSIGN_OR_RETURN(spec.seed, GetCount<uint64_t>(v, "seed", 1));
 
   if (const obs::JsonValue* churn = v.Find("churn"); churn != nullptr) {
     if (!churn->is_array()) {
@@ -212,12 +227,10 @@ Result<ScenarioSpec> ScenarioSpec::FromJson(const obs::JsonValue& v) {
         return Status::InvalidArgument("churn events must be objects");
       }
       ChurnEvent ev;
-      LACB_ASSIGN_OR_RETURN(double day, GetNumber(e, "day", 0.0));
-      ev.day = static_cast<size_t>(day);
-      LACB_ASSIGN_OR_RETURN(double off, GetNumber(e, "batch_offset", 0.0));
-      ev.batch_offset = static_cast<size_t>(off);
-      LACB_ASSIGN_OR_RETURN(double broker, GetNumber(e, "broker", 0.0));
-      ev.broker = static_cast<size_t>(broker);
+      LACB_ASSIGN_OR_RETURN(ev.day, GetCount<size_t>(e, "day", 0));
+      LACB_ASSIGN_OR_RETURN(ev.batch_offset,
+                            GetCount<size_t>(e, "batch_offset", 0));
+      LACB_ASSIGN_OR_RETURN(ev.broker, GetCount<size_t>(e, "broker", 0));
       LACB_ASSIGN_OR_RETURN(double cold, GetNumber(e, "cold_capacity", 0.0));
       ev.cold_capacity = cold;
       const obs::JsonValue* kind = e.Find("kind");
@@ -276,10 +289,8 @@ Result<ScenarioSpec> ScenarioSpec::FromJson(const obs::JsonValue& v) {
         LACB_ASSIGN_OR_RETURN(fw.length_fraction,
                               GetNumber(f, "length_fraction", 0.0));
         LACB_ASSIGN_OR_RETURN(fw.multiplier, GetNumber(f, "multiplier", 1.0));
-        LACB_ASSIGN_OR_RETURN(double period, GetNumber(f, "period", 0.0));
-        fw.period = static_cast<size_t>(period);
-        LACB_ASSIGN_OR_RETURN(double phase, GetNumber(f, "phase", 0.0));
-        fw.phase = static_cast<size_t>(phase);
+        LACB_ASSIGN_OR_RETURN(fw.period, GetCount<size_t>(f, "period", 0));
+        LACB_ASSIGN_OR_RETURN(fw.phase, GetCount<size_t>(f, "phase", 0));
         spec.arrivals.flash.push_back(fw);
       }
     }
@@ -293,8 +304,8 @@ Result<ScenarioSpec> ScenarioSpec::FromJson(const obs::JsonValue& v) {
                           GetBool(*ts, "enabled", false));
     LACB_ASSIGN_OR_RETURN(spec.two_sided.tightness,
                           GetNumber(*ts, "tightness", 0.0));
-    LACB_ASSIGN_OR_RETURN(double max_limit, GetNumber(*ts, "max_limit", 1.0));
-    spec.two_sided.max_limit = static_cast<int64_t>(max_limit);
+    LACB_ASSIGN_OR_RETURN(spec.two_sided.max_limit,
+                          GetCount<int64_t>(*ts, "max_limit", 1));
     if (const obs::JsonValue* backend = ts->Find("backend");
         backend != nullptr) {
       if (!backend->is_string()) {

@@ -91,7 +91,6 @@ Result<std::unique_ptr<AssignmentService>> AssignmentService::Create(
     if (replica == nullptr) {
       return Status::InvalidArgument("policy factory returned null");
     }
-    replica->set_solver_config(options.solver);
     LACB_RETURN_NOT_OK(replica->Initialize(platform));
     replicas.push_back(std::move(replica));
   }
@@ -201,9 +200,6 @@ Status AssignmentService::Start() {
         &registry_->GetHistogram("serve.solver.solve_seconds");
     solver_objective_total_ =
         &registry_->GetGauge("serve.solver.objective_total");
-    solver_backend_gauge_ = &registry_->GetGauge("serve.solver.backend");
-    solver_rounds_counter_ =
-        &registry_->GetCounter("serve.solver.approx_rounds");
   }
   if (recorder_ != nullptr) {
     timeline_dropped_counter_ =
@@ -1200,9 +1196,6 @@ void AssignmentService::RecordSolveStats(const matching::SolveStats& stats) {
   solver_rows_hist_->Record(static_cast<double>(stats.rows));
   solver_seconds_hist_->Record(stats.total_seconds);
   solver_objective_total_->Add(stats.objective);
-  solver_backend_gauge_->Set(
-      static_cast<double>(matching::approx::BackendGaugeCode(stats.solver)));
-  if (stats.rounds > 0) solver_rounds_counter_->Increment(stats.rounds);
   std::lock_guard<std::mutex> lock(stats_mu_);
   solver_stats_.MergeFrom(stats);
 }

@@ -225,11 +225,6 @@ struct ServeOptions {
   /// (problem size, iterations, augmenting paths, dual updates, phase
   /// timings, objective) and fold them into serve.solver_* instruments.
   bool solver_introspection = false;
-  /// Matching-backend routing applied to every policy replica (see
-  /// docs/matching.md). The default keeps the exact-KM path byte-identical;
-  /// kAuto routes large batches to the parallel ½-approx solver via the
-  /// startup-calibrated cost model.
-  matching::approx::SolverConfig solver;
   /// Declarative SLOs the service evaluates: each gets slo.<name>.*
   /// burn-rate gauges and feeds the health state machine (fast burn on a
   /// critical SLO → unhealthy; any burn → degraded). Empty = none.
@@ -676,8 +671,6 @@ class AssignmentService {
   obs::Histogram* solver_rows_hist_ = nullptr;
   obs::Histogram* solver_seconds_hist_ = nullptr;
   obs::Gauge* solver_objective_total_ = nullptr;
-  obs::Gauge* solver_backend_gauge_ = nullptr;
-  obs::Counter* solver_rounds_counter_ = nullptr;
 
   // Timeline-drop mirror (registered when a recorder is active).
   obs::Counter* timeline_dropped_counter_ = nullptr;

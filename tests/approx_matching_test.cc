@@ -2,8 +2,7 @@
 // (lacb/matching/approx): the deterministic ½-approx b-matching solver
 // (oracle equality with the sequential locally-dominant matching,
 // thread-count invariance, the ½-approximation bound against exact KM on
-// capacitated instances), the shared scoring kernels, the cost-model fit
-// and kAuto routing, and the routed SolveBatchAssignment overload.
+// capacitated instances) and the shared scoring kernels.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +10,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "lacb/common/rng.h"
 #include "lacb/matching/approx/parallel_bmatch.h"
 #include "lacb/matching/approx/scoring.h"
-#include "lacb/matching/approx/solver_select.h"
 #include "lacb/matching/assignment.h"
-#include "lacb/policy/assignment_policy.h"
 
 namespace lacb::matching::approx {
 namespace {
@@ -279,16 +275,12 @@ TEST(ScoringTest, GatherKernelsMatchManualLoops) {
   ASSERT_TRUE(GatherColumnsTransposed(u, eligible, &transposed).ok());
   la::Matrix refined;
   ASSERT_TRUE(GatherRefinedColumns(u, eligible, delta, &refined).ok());
-  ScoreMatrix scores;
-  ASSERT_TRUE(BuildScoreMatrix(u, eligible, &delta, &scores).ok());
-
   for (size_t r = 0; r < u.rows(); ++r) {
     for (size_t i = 0; i < eligible.size(); ++i) {
       const double base = u(r, eligible[i]);
       EXPECT_EQ(plain(r, i), base);
       EXPECT_EQ(transposed(i, r), base);
       EXPECT_EQ(refined(r, i), base + delta[i]);
-      EXPECT_EQ(scores.At(r, i), static_cast<float>(base + delta[i]));
     }
   }
 
@@ -303,244 +295,6 @@ TEST(ScoringTest, GatherKernelsMatchManualLoops) {
   la::Matrix out;
   EXPECT_FALSE(GatherColumns(u, {11}, &out).ok());  // out-of-range column
   EXPECT_FALSE(GatherRefinedColumns(u, eligible, {0.0}, &out).ok());
-}
-
-TEST(SolverSelectTest, FitCostModelRecoversCoefficients) {
-  // Synthetic probes that follow the asymptotic terms exactly.
-  const double km_c = 2e-9;
-  const double bx_c = 5e-8;
-  std::vector<SolveStats> km_probes;
-  std::vector<SolveStats> bx_probes;
-  for (size_t n : {32u, 64u, 128u}) {
-    SolveStats km;
-    km.rows = n;
-    km.cols = n;
-    km.total_seconds =
-        km_c * static_cast<double>(n) * static_cast<double>(n) *
-        static_cast<double>(n);
-    km_probes.push_back(km);
-    SolveStats bx;
-    bx.rows = n;
-    bx.cols = n;
-    bx.total_seconds = bx_c * static_cast<double>(n) * static_cast<double>(n);
-    bx_probes.push_back(bx);
-  }
-  CostModel model = FitCostModel(km_probes, bx_probes);
-  EXPECT_TRUE(model.fitted);
-  EXPECT_NEAR(model.km_seconds_per_op, km_c, km_c * 1e-9);
-  EXPECT_NEAR(model.approx_seconds_per_op, bx_c, bx_c * 1e-9);
-  EXPECT_NEAR(model.PredictKmSeconds(256, 256), km_c * 256.0 * 256.0 * 256.0,
-              1e-9);
-  // Threads divide the approx scan work.
-  EXPECT_NEAR(model.PredictApproxSeconds(256, 256, 4),
-              bx_c * 256.0 * 256.0 / 4.0, 1e-12);
-}
-
-TEST(SolverSelectTest, ChooseBackendRouting) {
-  CostModel model;
-  model.km_seconds_per_op = 1e-8;
-  model.approx_seconds_per_op = 1e-9;
-  model.fitted = true;
-
-  SolverConfig config;
-  config.choice = SolverChoice::kAuto;
-  config.auto_min_rows = 128;
-  config.auto_km_budget_seconds = 0.010;
-
-  // Forced choices are honored regardless of size.
-  config.choice = SolverChoice::kExactKm;
-  EXPECT_EQ(ChooseBackend(config, model, 100000, 100000),
-            SolverChoice::kExactKm);
-  config.choice = SolverChoice::kApprox;
-  EXPECT_EQ(ChooseBackend(config, model, 2, 2), SolverChoice::kApprox);
-
-  config.choice = SolverChoice::kAuto;
-  // Below the row floor: always exact.
-  EXPECT_EQ(ChooseBackend(config, model, 64, 100000),
-            SolverChoice::kExactKm);
-  // Small predicted KM latency: exact. 128²·128 · 1e-8 ≈ 0.021 > 0.010 so
-  // raise the budget to keep it exact...
-  config.auto_km_budget_seconds = 1.0;
-  EXPECT_EQ(ChooseBackend(config, model, 128, 128), SolverChoice::kExactKm);
-  // ...and a large batch with a tight budget goes approx.
-  config.auto_km_budget_seconds = 0.010;
-  EXPECT_EQ(ChooseBackend(config, model, 4096, 512), SolverChoice::kApprox);
-}
-
-TEST(SolverSelectTest, CalibratedCostModelIsFitted) {
-  const CostModel& model = CalibratedCostModel();
-  EXPECT_TRUE(model.fitted);
-  EXPECT_GT(model.km_seconds_per_op, 0.0);
-  EXPECT_GT(model.approx_seconds_per_op, 0.0);
-  // A huge batch must predict slower exact KM than approx at any thread
-  // count — the asymptotic gap the selector exists to exploit.
-  EXPECT_GT(model.PredictKmSeconds(16384, 2048),
-            model.PredictApproxSeconds(16384, 2048, 1));
-}
-
-TEST(SolverSelectTest, ResolveChoiceRecordsAutoDecision) {
-  SolverConfig config;
-  config.choice = SolverChoice::kAuto;
-  config.auto_min_rows = 128;
-  SolveStats stats;
-  SolverChoice small = ResolveChoice(config, 8, 8, &stats);
-  EXPECT_EQ(small, SolverChoice::kExactKm);
-  EXPECT_EQ(stats.auto_km_selected, 1u);
-  EXPECT_EQ(stats.auto_approx_selected, 0u);
-  // Forced configs record nothing.
-  config.choice = SolverChoice::kExactKm;
-  SolveStats forced;
-  ResolveChoice(config, 8, 8, &forced);
-  EXPECT_EQ(forced.auto_km_selected, 0u);
-  EXPECT_EQ(forced.auto_approx_selected, 0u);
-}
-
-TEST(SolverSelectTest, SolveDenseAssignmentExactMatchesKm) {
-  Rng rng(16);
-  for (bool pad : {false, true}) {
-    la::Matrix w = RandomFloatWeights(6, 9, &rng);
-    SolverConfig config;  // default: kExactKm
-    auto routed = SolveDenseAssignment(w, pad, config);
-    ASSERT_TRUE(routed.ok());
-    Assignment direct;
-    if (pad) {
-      auto square = PadToSquare(w);
-      ASSERT_TRUE(square.ok());
-      auto a = MaxWeightAssignment(*square);
-      ASSERT_TRUE(a.ok());
-      direct = *a;
-      direct.col_of_row.resize(w.rows());
-    } else {
-      auto a = MaxWeightAssignment(w);
-      ASSERT_TRUE(a.ok());
-      direct = *a;
-    }
-    EXPECT_EQ(routed->col_of_row, direct.col_of_row);
-    EXPECT_EQ(routed->total_weight, direct.total_weight);
-  }
-}
-
-TEST(SolverSelectTest, SolveDenseAssignmentApproxRoute) {
-  Rng rng(17);
-  la::Matrix w = RandomFloatWeights(20, 8, &rng);  // rows > cols is fine
-  SolverConfig config;
-  config.choice = SolverChoice::kApprox;
-  config.approx_threads = 2;
-  SolveStats stats;
-  auto a = SolveDenseAssignment(w, /*pad_to_square=*/false, config, &stats);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(stats.solver, "bmatch");
-  size_t matched = 0;
-  double total = 0.0;
-  std::vector<int64_t> used(w.cols(), 0);
-  for (size_t r = 0; r < w.rows(); ++r) {
-    int64_t c = a->col_of_row[r];
-    if (c == kUnmatched) continue;
-    ++matched;
-    ++used[static_cast<size_t>(c)];
-    total += w(r, static_cast<size_t>(c));
-  }
-  EXPECT_EQ(matched, w.cols());  // unit caps, surplus rows unmatched
-  for (int64_t u : used) EXPECT_LE(u, 1);
-  EXPECT_DOUBLE_EQ(a->total_weight, total);
-}
-
-TEST(RoutedBatchAssignmentTest, DefaultConfigMatchesPlainOverload) {
-  Rng rng(18);
-  la::Matrix u = RandomFloatWeights(12, 20, &rng);
-  std::vector<size_t> eligible = {0, 2, 3, 5, 7, 8, 10, 11, 13, 14, 16, 17,
-                                  18, 19};
-  for (bool pad : {false, true}) {
-    auto plain = policy::SolveBatchAssignment(u, eligible, pad);
-    auto routed = policy::SolveBatchAssignment(
-        u, eligible, pad, matching::approx::SolverConfig{});
-    ASSERT_TRUE(plain.ok());
-    ASSERT_TRUE(routed.ok());
-    EXPECT_EQ(*plain, *routed);
-  }
-}
-
-TEST(RoutedBatchAssignmentTest, AutoSmallBatchStaysExact) {
-  Rng rng(19);
-  la::Matrix u = RandomFloatWeights(10, 16, &rng);
-  std::vector<size_t> eligible(16);
-  std::iota(eligible.begin(), eligible.end(), 0);
-  SolverConfig config;
-  config.choice = SolverChoice::kAuto;  // 10 rows < auto_min_rows floor
-  SolveStats stats;
-  auto routed =
-      policy::SolveBatchAssignment(u, eligible, true, config, &stats);
-  auto exact = policy::SolveBatchAssignment(u, eligible, true);
-  ASSERT_TRUE(routed.ok());
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(*routed, *exact);
-  EXPECT_EQ(stats.auto_km_selected, 1u);
-}
-
-TEST(RoutedBatchAssignmentTest, ApproxRouteMapsThroughEligible) {
-  Rng rng(20);
-  la::Matrix u = RandomFloatWeights(6, 10, &rng);
-  std::vector<size_t> eligible = {1, 3, 5, 7};
-  SolverConfig config;
-  config.choice = SolverChoice::kApprox;
-  auto routed = policy::SolveBatchAssignment(u, eligible, false, config);
-  ASSERT_TRUE(routed.ok());
-
-  // Reference: bmatch on the gathered submatrix, mapped through eligible.
-  ScoreMatrix scores;
-  ASSERT_TRUE(BuildScoreMatrix(u, eligible, nullptr, &scores).ok());
-  std::vector<int64_t> caps(eligible.size(), 1);
-  auto bm = ParallelBMatch(scores, caps);
-  ASSERT_TRUE(bm.ok());
-  for (size_t r = 0; r < u.rows(); ++r) {
-    if (bm->col_of_row[r] == kUnmatched) {
-      EXPECT_EQ((*routed)[r], kUnmatched);
-    } else {
-      EXPECT_EQ((*routed)[r],
-                static_cast<int64_t>(
-                    eligible[static_cast<size_t>(bm->col_of_row[r])]));
-    }
-  }
-  // Every assigned broker is eligible and used at most once.
-  std::vector<int> used(u.cols(), 0);
-  for (int64_t b : *routed) {
-    if (b == kUnmatched) continue;
-    EXPECT_NE(std::find(eligible.begin(), eligible.end(),
-                        static_cast<size_t>(b)),
-              eligible.end());
-    EXPECT_LE(++used[static_cast<size_t>(b)], 1);
-  }
-}
-
-TEST(RoutedBatchAssignmentTest, ApproxUtilityCloseToExactOnBigBatches) {
-  // The serving-scale claim in miniature: on a 256×64 batch the approx
-  // route keeps well above the ½ worst case — and above the 95% frontier
-  // target — of the exact optimum.
-  Rng rng(21);
-  la::Matrix u = RandomFloatWeights(64, 256, &rng);
-  std::vector<size_t> eligible(256);
-  std::iota(eligible.begin(), eligible.end(), 0);
-
-  auto exact = policy::SolveBatchAssignment(u, eligible, false);
-  ASSERT_TRUE(exact.ok());
-  SolverConfig config;
-  config.choice = SolverChoice::kApprox;
-  auto approx_r = policy::SolveBatchAssignment(u, eligible, false, config);
-  ASSERT_TRUE(approx_r.ok());
-
-  auto total = [&](const std::vector<int64_t>& assign) {
-    double t = 0.0;
-    for (size_t r = 0; r < u.rows(); ++r) {
-      if (assign[r] != kUnmatched) {
-        t += u(r, static_cast<size_t>(assign[r]));
-      }
-    }
-    return t;
-  };
-  const double exact_total = total(*exact);
-  const double approx_total = total(*approx_r);
-  ASSERT_GT(exact_total, 0.0);
-  EXPECT_GE(approx_total / exact_total, 0.95);
 }
 
 }  // namespace

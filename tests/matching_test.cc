@@ -542,7 +542,7 @@ TEST(SolveStatsTest, MergeFoldsAcrossBackends) {
 TEST(SolveStatsTest, MergeIsCommutativeAcrossAllFields) {
   // Worker threads fold their per-batch records into the service aggregate
   // in a nondeterministic order, so MergeFrom must commute — including the
-  // approx-backend and kAuto-selector fields.
+  // approx-backend fields.
   SolveStats a;
   a.solver = "km";
   a.rows = 8;
@@ -555,8 +555,6 @@ TEST(SolveStatsTest, MergeIsCommutativeAcrossAllFields) {
   a.rounds = 0;
   a.proposals = 0;
   a.steals = 0;
-  a.auto_km_selected = 3;
-  a.auto_approx_selected = 0;
   a.total_seconds = 0.5;
   a.phase_build_seconds = 0.1;
   a.phase_search_seconds = 0.3;
@@ -574,8 +572,6 @@ TEST(SolveStatsTest, MergeIsCommutativeAcrossAllFields) {
   b.rounds = 9;
   b.proposals = 4096;
   b.steals = 17;
-  b.auto_km_selected = 0;
-  b.auto_approx_selected = 2;
   b.total_seconds = 0.125;
   b.phase_build_seconds = 0.02;
   b.phase_search_seconds = 0.09;
@@ -599,8 +595,6 @@ TEST(SolveStatsTest, MergeIsCommutativeAcrossAllFields) {
   EXPECT_EQ(ab.rounds, ba.rounds);
   EXPECT_EQ(ab.proposals, ba.proposals);
   EXPECT_EQ(ab.steals, ba.steals);
-  EXPECT_EQ(ab.auto_km_selected, ba.auto_km_selected);
-  EXPECT_EQ(ab.auto_approx_selected, ba.auto_approx_selected);
   EXPECT_DOUBLE_EQ(ab.total_seconds, ba.total_seconds);
   EXPECT_DOUBLE_EQ(ab.phase_build_seconds, ba.phase_build_seconds);
   EXPECT_DOUBLE_EQ(ab.phase_search_seconds, ba.phase_search_seconds);
@@ -608,23 +602,6 @@ TEST(SolveStatsTest, MergeIsCommutativeAcrossAllFields) {
   EXPECT_EQ(ab.rounds, 9u);
   EXPECT_EQ(ab.proposals, 4096u);
   EXPECT_EQ(ab.steals, 17u);
-  EXPECT_EQ(ab.auto_km_selected, 3u);
-  EXPECT_EQ(ab.auto_approx_selected, 2u);
-
-  // A selector-decision-only record (no solve attached) must not be
-  // swallowed by the empty-record fast path.
-  SolveStats decision;
-  decision.auto_approx_selected = 1;
-  SolveStats sink;
-  sink.MergeFrom(decision);
-  EXPECT_EQ(sink.auto_approx_selected, 1u);
-  EXPECT_TRUE(sink.solver.empty());
-  // ...and folding it into a named record must not poison the name.
-  SolveStats named;
-  named.solver = "bmatch";
-  named.solves = 1;
-  named.MergeFrom(decision);
-  EXPECT_EQ(named.solver, "bmatch");
 }
 
 }  // namespace

@@ -119,9 +119,19 @@ TEST(SolveBatchAssignmentTest, MoreRequestsThanBrokers) {
   EXPECT_EQ((*a)[1], 1);
 }
 
-TEST(SolveBatchAssignmentTest, RejectsBadEligible) {
-  la::Matrix u(2, 3, 0.0);
-  EXPECT_FALSE(SolveBatchAssignment(u, {7}, true).ok());
+// Both solve orientations reject an eligible column past the utility width
+// with OutOfRange: more eligible brokers than requests (column gather) and
+// fewer (transposed gather).
+TEST(SolveBatchAssignmentTest, RejectsOutOfRangeEligibleColumn) {
+  la::Matrix u(2, 3, 0.5);
+  for (bool pad : {false, true}) {
+    auto wide = SolveBatchAssignment(u, {0, 1, 3}, pad);
+    ASSERT_FALSE(wide.ok());
+    EXPECT_EQ(wide.status().code(), StatusCode::kOutOfRange);
+    auto narrow = SolveBatchAssignment(u, {3}, pad);
+    ASSERT_FALSE(narrow.ok());
+    EXPECT_EQ(narrow.status().code(), StatusCode::kOutOfRange);
+  }
 }
 
 TEST(TopKPolicyTest, NamesAndConcentration) {

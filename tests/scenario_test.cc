@@ -11,6 +11,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lacb/core/engine.h"
@@ -171,6 +173,34 @@ TEST(ScenarioSpecTest, ValidateRejectsMalformedSpecs) {
     spec.churn.push_back(ev);
     EXPECT_FALSE(spec.Validate().ok());
   }
+}
+
+// Integer fields arrive as JSON doubles; a negative, fractional or
+// out-of-range value must be rejected by name, not cast (an unchecked cast
+// of -1 or 1e30 to size_t is undefined, and in practice yields an event
+// that never fires or a wrong broker).
+TEST(ScenarioSpecTest, ParseRejectsNonIntegralOrOutOfRangeCounts) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"churn":[{"day":-1,"kind":"join"}]})", "'day'"},
+      {R"({"churn":[{"day":1,"broker":1e30,"kind":"leave"}]})", "'broker'"},
+      {R"({"seed":-5})", "'seed'"},
+      {R"({"churn":[{"day":1.5,"kind":"join"}]})", "'day'"},
+      {R"({"two_sided":{"max_limit":2.5}})", "'max_limit'"},
+  };
+  for (const auto& [json, field] : cases) {
+    auto parsed = scenario::ScenarioSpec::Parse(json);
+    ASSERT_FALSE(parsed.ok()) << json;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << json;
+    EXPECT_NE(parsed.status().message().find(field), std::string::npos)
+        << json << " -> " << parsed.status().ToString();
+  }
+  // In-range integral values still parse.
+  auto ok = scenario::ScenarioSpec::Parse(
+      R"({"seed":7,"churn":[{"day":2,"broker":3,"kind":"join"}]})");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->seed, 7u);
+  EXPECT_EQ(ok->churn[0].day, 2u);
+  EXPECT_EQ(ok->churn[0].broker, 3u);
 }
 
 TEST(ScenarioSpecTest, DefaultSpecIsEmptyAndValid) {

@@ -307,10 +307,11 @@ TEST_P(ServedDeterminism, LockstepSingleWorkerMatchesOfflineEngine) {
   ExpectBitIdentical(*offline, *served);
 }
 
-// Top-3 (RNG-consuming tie-breaks), KM (the cubic optimal matcher), and
-// LACB-Opt (bandit + NN: the heaviest stateful policy).
+// Top-3 (RNG-consuming tie-breaks), KM (the cubic optimal matcher), AN
+// (exact solve over the capacity-eligible columns), LACB (the dummy-padded
+// solve) and LACB-Opt (bandit + NN + CBS: the heaviest stateful policy).
 INSTANTIATE_TEST_SUITE_P(Suite, ServedDeterminism,
-                         ::testing::Values(1u, 5u, 8u));
+                         ::testing::Values(1u, 5u, 6u, 7u, 8u));
 
 TEST(ServedDeterminismTest, AppealsRequeueBitIdentically) {
   // With appeals on, assigned clients bounce back into later batches; the
@@ -938,40 +939,6 @@ TEST(ServedDeterminismTest, AttributionKnobsDoNotPerturbResults) {
   EXPECT_EQ(pm.histograms.find("serve.stage.solve_seconds"),
             pm.histograms.end());
   EXPECT_EQ(pm.counters.find("serve.solver.solves"), pm.counters.end());
-}
-
-// The adaptive solver selector with a latency budget no tiny batch can
-// exceed must route every solve to exact KM — and the served run must stay
-// bit-identical to the offline engine: kAuto is an observer until the cost
-// model actually reroutes something.
-TEST(ServedDeterminismTest, AutoSolverSelectionForcedToKmStaysBitIdentical) {
-  sim::DatasetConfig cfg = TinyConfig();
-  core::PolicySuiteConfig suite;
-  suite.seed = 55;
-  const size_t index = 5;  // KM: every batch runs the routed solver
-
-  auto offline_policy = core::MakeSuitePolicy(cfg, suite, index);
-  ASSERT_TRUE(offline_policy.ok());
-  auto offline = core::RunPolicy(cfg, offline_policy->get());
-  ASSERT_TRUE(offline.ok());
-
-  serve::ServedRunOptions opts = LockstepOptions();
-  opts.serve.solver_introspection = true;
-  opts.serve.solver.choice = matching::approx::SolverChoice::kAuto;
-  opts.serve.solver.auto_km_budget_seconds = 3600.0;  // nothing exceeds it
-  auto served = serve::RunPolicyServed(
-      cfg, core::SuitePolicyFactory(cfg, suite, index), opts);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  ExpectBitIdentical(*offline, *served);
-
-  ASSERT_NE(served->telemetry, nullptr);
-  const auto& m = served->telemetry->metrics;
-  // Backend gauge reports the exact-KM code (0) and no approx rounds ran.
-  auto backend = m.gauges.find("serve.solver.backend");
-  ASSERT_NE(backend, m.gauges.end());
-  EXPECT_EQ(backend->second, 0.0);
-  auto rounds = m.counters.find("serve.solver.approx_rounds");
-  EXPECT_TRUE(rounds == m.counters.end() || rounds->second == 0u);
 }
 
 // Declarative SLOs through the service: a shed storm drives the critical
