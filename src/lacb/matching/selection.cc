@@ -1,55 +1,85 @@
 #include "lacb/matching/selection.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 namespace lacb::matching {
 
 namespace {
 
-// Core of Alg. 3 on an index set. Iterative form of the paper's recursion
-// with a three-way partition around a random pivot value: elements strictly
-// heavier than the pivot must all be kept or recursed into; pivot-equal
-// elements are interchangeable and fill any remainder; strictly lighter
-// elements are only consulted when the heavy+equal sides fall short.
-void SelectTopKIndices(const std::vector<double>& utilities,
-                       std::vector<size_t> pool, size_t k, Rng* rng,
-                       std::vector<size_t>* out) {
-  while (k > 0) {
-    if (pool.size() <= k) {
-      out->insert(out->end(), pool.begin(), pool.end());
-      return;
-    }
-    size_t pivot_pos = static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(pool.size()) - 1));
-    double p = utilities[pool[pivot_pos]];
-    std::vector<size_t> heavy;
-    std::vector<size_t> equal;
-    std::vector<size_t> light;
-    for (size_t idx : pool) {
-      if (utilities[idx] > p) {
-        heavy.push_back(idx);
-      } else if (utilities[idx] < p) {
-        light.push_back(idx);
-      } else {
-        equal.push_back(idx);
+// Alg. 3 over one row of utilities, with index buffers reused across rows.
+//
+// Iterative form of the paper's recursion with a three-way partition around
+// a random pivot value: elements strictly heavier than the pivot must all
+// be kept or recursed into; pivot-equal elements are interchangeable and
+// fill any remainder; strictly lighter elements are only consulted when
+// the heavy+equal sides fall short.
+//
+// The partition is stable (each side keeps the pool's order). The pivot is
+// drawn as a pool position and ties keep the first pivot-equal elements, so
+// any stable partition keeps the same set and takes the same Rng draws
+// (docs/matching.md). Each index is written to all three sides and only its
+// own side's cursor advances, so the loop has no data-dependent branch.
+class TopKSelector {
+ public:
+  explicit TopKSelector(size_t n) : buffers_(4 * n), n_(n) {}
+
+  // Calls keep(i) for each index i of the k largest of u[0..n).
+  template <typename Keep>
+  void Select(const double* u, size_t k, Rng* rng, Keep keep) {
+    size_t* pool = buffers_.data();
+    size_t* heavy = pool + n_;
+    size_t* equal = heavy + n_;
+    size_t* light = equal + n_;
+    size_t size = n_;
+    for (size_t i = 0; i < size; ++i) pool[i] = i;
+    while (k > 0) {
+      if (size <= k) {
+        for (size_t i = 0; i < size; ++i) keep(pool[i]);
+        return;
       }
+      size_t pivot_pos = static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(size) - 1));
+      const double p = u[pool[pivot_pos]];
+      size_t num_heavy = 0;
+      size_t num_equal = 0;
+      size_t num_light = 0;
+      for (size_t i = 0; i < size; ++i) {
+        const size_t idx = pool[i];
+        const double v = u[idx];
+        const bool is_heavy = v > p;
+        const bool is_light = v < p;
+        heavy[num_heavy] = idx;
+        equal[num_equal] = idx;
+        light[num_light] = idx;
+        num_heavy += is_heavy;
+        num_light += is_light;
+        num_equal += !(is_heavy || is_light);
+      }
+      if (num_heavy >= k) {
+        std::swap(pool, heavy);
+        size = num_heavy;
+        continue;
+      }
+      for (size_t i = 0; i < num_heavy; ++i) keep(heavy[i]);
+      k -= num_heavy;
+      if (num_equal >= k) {
+        // Pivot-equal elements are interchangeable: any k complete a top-k.
+        for (size_t i = 0; i < k; ++i) keep(equal[i]);
+        return;
+      }
+      for (size_t i = 0; i < num_equal; ++i) keep(equal[i]);
+      k -= num_equal;
+      std::swap(pool, light);
+      size = num_light;
     }
-    if (heavy.size() >= k) {
-      pool = std::move(heavy);
-      continue;
-    }
-    out->insert(out->end(), heavy.begin(), heavy.end());
-    k -= heavy.size();
-    if (equal.size() >= k) {
-      // Pivot-equal elements are interchangeable: any k complete a top-k.
-      out->insert(out->end(), equal.begin(), equal.begin() + k);
-      return;
-    }
-    out->insert(out->end(), equal.begin(), equal.end());
-    k -= equal.size();
-    pool = std::move(light);
   }
-}
+
+ private:
+  std::vector<size_t> buffers_;  // pool, heavy, equal, light; n each
+  size_t n_;
+};
 
 }  // namespace
 
@@ -60,27 +90,28 @@ Result<std::vector<size_t>> SelectTopK(const std::vector<double>& utilities,
   }
   std::vector<size_t> out;
   if (k == 0) return out;
-  std::vector<size_t> pool(utilities.size());
-  for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
-  SelectTopKIndices(utilities, std::move(pool), k, rng, &out);
+  out.reserve(std::min(k, utilities.size()));
+  TopKSelector(utilities.size())
+      .Select(utilities.data(), k, rng, [&](size_t i) { out.push_back(i); });
   return out;
 }
 
 Result<std::vector<size_t>> CandidateColumns(const la::Matrix& utility,
                                              Rng* rng) {
-  size_t num_rows = utility.rows();
-  size_t num_cols = utility.cols();
-  std::vector<bool> keep(num_cols, false);
-  std::vector<double> row(num_cols);
+  const size_t num_rows = utility.rows();
+  const size_t num_cols = utility.cols();
+  if (rng == nullptr && num_rows > 0) {
+    return Status::InvalidArgument("SelectTopK requires an Rng");
+  }
+  std::vector<uint8_t> keep(num_cols, 0);
+  TopKSelector selector(num_cols);
   for (size_t r = 0; r < num_rows; ++r) {
-    for (size_t c = 0; c < num_cols; ++c) row[c] = utility(r, c);
-    LACB_ASSIGN_OR_RETURN(std::vector<size_t> top,
-                          SelectTopK(row, num_rows, rng));
-    for (size_t c : top) keep[c] = true;
+    selector.Select(utility.RowPtr(r), num_rows, rng,
+                    [&](size_t c) { keep[c] = 1; });
   }
   std::vector<size_t> out;
   for (size_t c = 0; c < num_cols; ++c) {
-    if (keep[c]) out.push_back(c);
+    if (keep[c] != 0) out.push_back(c);
   }
   return out;
 }

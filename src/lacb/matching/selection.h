@@ -21,7 +21,9 @@ namespace lacb::matching {
 ///
 /// Randomized quickselect per Alg. 3: partition around a random pivot value
 /// drawn from the data, recurse into the heavy side. If k >= size, all
-/// indices are returned. Expected O(n).
+/// indices are returned. Expected O(n). The partition is stable, so for a
+/// given `rng` state the result and the draws taken depend only on the
+/// values and k (docs/matching.md).
 Result<std::vector<size_t>> SelectTopK(const std::vector<double>& utilities,
                                        size_t k, Rng* rng);
 

@@ -1,6 +1,7 @@
 #include "lacb/obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -58,10 +59,12 @@ void WriteNumber(std::ostream& os, double d) {
   os << buf;
 }
 
+}  // namespace
+
 // Recursive-descent parser over a raw character range.
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   Result<JsonValue> Run() {
     LACB_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
@@ -250,18 +253,35 @@ class Parser {
       return Status::InvalidArgument("JSON: expected value at offset " +
                                      std::to_string(pos_));
     }
+    const std::string literal = text_.substr(start, pos_ - start);
+    JsonValue v;
     try {
-      return JsonValue(std::stod(text_.substr(start, pos_ - start)));
+      v = JsonValue(std::stod(literal));
     } catch (...) {
       return Status::InvalidArgument("JSON: malformed number");
     }
+    // An integer literal past 2^53 may lose low bits in the double; record
+    // whether it did, so integer readers can refuse a rounded value.
+    const size_t digits = literal[0] == '-' || literal[0] == '+' ? 1 : 0;
+    if (literal.find_first_not_of("0123456789", digits) == std::string::npos) {
+      uint64_t magnitude = 0;
+      const bool parsed =
+          std::from_chars(literal.data() + digits,
+                          literal.data() + literal.size(), magnitude)
+              .ec == std::errc();
+      v.exact_ = parsed && JsonValue::HoldsExactly(magnitude);
+    }
+    return v;
   }
 
   const std::string& text_;
   size_t pos_ = 0;
 };
 
-}  // namespace
+bool JsonValue::HoldsExactly(uint64_t magnitude) {
+  const double d = static_cast<double>(magnitude);
+  return d < 0x1p64 && static_cast<uint64_t>(d) == magnitude;
+}
 
 void JsonValue::Append(JsonValue v) {
   if (kind_ == Kind::kNull) kind_ = Kind::kArray;
@@ -349,7 +369,7 @@ std::string JsonValue::ToString(int indent) const {
 }
 
 Result<JsonValue> JsonValue::Parse(const std::string& text) {
-  return Parser(text).Run();
+  return JsonParser(text).Run();
 }
 
 }  // namespace lacb::obs

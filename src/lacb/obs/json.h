@@ -30,9 +30,14 @@ class JsonValue {
   JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}  // NOLINT
   JsonValue(double d) : kind_(Kind::kNumber), number_(d) {}  // NOLINT
   JsonValue(int64_t i)  // NOLINT
-      : kind_(Kind::kNumber), number_(static_cast<double>(i)) {}
+      : kind_(Kind::kNumber),
+        number_(static_cast<double>(i)),
+        exact_(HoldsExactly(i < 0 ? 0 - static_cast<uint64_t>(i)
+                                  : static_cast<uint64_t>(i))) {}
   JsonValue(uint64_t u)  // NOLINT
-      : kind_(Kind::kNumber), number_(static_cast<double>(u)) {}
+      : kind_(Kind::kNumber),
+        number_(static_cast<double>(u)),
+        exact_(HoldsExactly(u)) {}
   JsonValue(std::string s)  // NOLINT
       : kind_(Kind::kString), string_(std::move(s)) {}
   JsonValue(const char* s) : kind_(Kind::kString), string_(s) {}  // NOLINT
@@ -58,6 +63,10 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
+  /// \brief False when the number stands for an integer a double cannot
+  /// hold — an int64/uint64 or an integer literal beyond 2^53 whose low
+  /// bits were lost — so as_number() is a rounded value.
+  bool is_exact() const { return exact_; }
   const std::string& as_string() const { return string_; }
 
   /// \brief Array elements (valid for kArray).
@@ -85,11 +94,17 @@ class JsonValue {
   static Result<JsonValue> Parse(const std::string& text);
 
  private:
+  friend class JsonParser;
+
+  /// True when a double holds the integer with this magnitude exactly.
+  static bool HoldsExactly(uint64_t magnitude);
+
   void WriteIndented(std::ostream& os, int indent, int depth) const;
 
   Kind kind_;
   bool bool_ = false;
   double number_ = 0.0;
+  bool exact_ = true;
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;

@@ -137,8 +137,7 @@ Result<ScenarioRunResult> RunPolicyScenario(const sim::DatasetConfig& config,
       }
 
       const std::vector<sim::Request>& requests = batches[batch];
-      la::Matrix utility =
-          platform.utility_model().UtilityMatrix(requests, platform.brokers());
+      la::Matrix utility = platform.utility_model().UtilityMatrix(requests);
 
       std::vector<int64_t> assignment;
       std::vector<sim::Request> commit_requests;

@@ -7,6 +7,9 @@
 namespace lacb::scenario {
 namespace {
 
+// JSON numbers are doubles, which hold every integer up to 2^53 exactly.
+constexpr uint64_t kMaxJsonInteger = uint64_t{1} << 53;
+
 Result<double> GetNumber(const obs::JsonValue& obj, const char* key,
                          double fallback) {
   const obs::JsonValue* v = obj.Find(key);
@@ -18,14 +21,19 @@ Result<double> GetNumber(const obs::JsonValue& obj, const char* key,
   return v->as_number();
 }
 
-// Integer field of type T: the JSON number must be finite, integral and in
-// [0, 2^digits(T)), so the cast below is exact and defined.
+// Integer field of type T: the JSON number must be an exact, finite,
+// integral value in [0, min(2^digits(T), 2^53)] (2^digits(T) itself
+// excluded), so the cast below is exact and defined and ToJson writes the
+// value back unchanged.
 template <typename T>
 Result<T> GetCount(const obs::JsonValue& obj, const char* key, T fallback) {
   LACB_ASSIGN_OR_RETURN(double x,
                         GetNumber(obj, key, static_cast<double>(fallback)));
+  const obs::JsonValue* v = obj.Find(key);
+  const bool exact = v == nullptr || v->is_exact();
   const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (!(std::isfinite(x) && x >= 0.0 && x < limit && std::floor(x) == x)) {
+  if (!(exact && std::isfinite(x) && x >= 0.0 && x < limit &&
+        x <= static_cast<double>(kMaxJsonInteger) && std::floor(x) == x)) {
     return Status::InvalidArgument(std::string("scenario field '") + key +
                                    "' must be a non-negative integer in "
                                    "range");
@@ -86,6 +94,10 @@ const char* ChurnKindName(ChurnKind k) {
 Status ScenarioSpec::Validate() const {
   if (version != 1) {
     return Status::InvalidArgument("unsupported scenario spec version");
+  }
+  if (seed > kMaxJsonInteger) {
+    // Past 2^53 the JSON form would round the seed to another scenario.
+    return Status::InvalidArgument("scenario field 'seed' must be <= 2^53");
   }
   for (const ChurnEvent& ev : churn) {
     if (ev.cold_capacity < 0.0) {

@@ -336,11 +336,9 @@ Status AssignmentService::DoOpenDay(size_t day, bool log_wal) {
   }
   store_.ResetDay();
   day_boundary_seconds_ = 0.0;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    Stopwatch sw;
-    LACB_RETURN_NOT_OK(replicas_[i]->BeginDay(*platform_, day));
-    if (i == 0) day_boundary_seconds_ += sw.ElapsedSeconds();
-  }
+  LACB_RETURN_NOT_OK(ForEachReplica([&](policy::AssignmentPolicy& replica) {
+    return replica.BeginDay(*platform_, day);
+  }));
   // Publish the lead replica's capacity estimates so the store's residual
   // view is live for capacity-aware consumers.
   if (auto* lacb = dynamic_cast<policy::LacbPolicy*>(replicas_.front().get());
@@ -496,13 +494,32 @@ Result<sim::DayOutcome> AssignmentService::DoCloseDay(bool log_wal) {
     LACB_ASSIGN_OR_RETURN(outcome, platform_->EndDay());
   }
   store_.ApplyDayFeedback(outcome);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    Stopwatch sw;
-    LACB_RETURN_NOT_OK(replicas_[i]->EndDay(outcome));
-    if (i == 0) day_boundary_seconds_ += sw.ElapsedSeconds();
-  }
+  LACB_RETURN_NOT_OK(ForEachReplica([&](policy::AssignmentPolicy& replica) {
+    return replica.EndDay(outcome);
+  }));
   day_open_.store(false, std::memory_order_release);
   return outcome;
+}
+
+Status AssignmentService::ForEachReplica(
+    const std::function<Status(policy::AssignmentPolicy&)>& step) {
+  // Replicas share no state, and at a day boundary no batch is in flight,
+  // so their identical retraining runs side by side.
+  std::vector<Status> status(replicas_.size());
+  std::vector<std::thread> threads;
+  threads.reserve(replicas_.size() - 1);
+  for (size_t i = 1; i < replicas_.size(); ++i) {
+    threads.emplace_back([this, &step, &status, i] {
+      obs::ScopedContextAdoption adopt(registry_, tracer_, recorder_);
+      status[i] = step(*replicas_[i]);
+    });
+  }
+  Stopwatch sw;
+  status[0] = step(*replicas_[0]);
+  day_boundary_seconds_ += sw.ElapsedSeconds();
+  for (std::thread& t : threads) t.join();
+  for (const Status& s : status) LACB_RETURN_NOT_OK(s);
+  return Status::OK();
 }
 
 Status AssignmentService::ApplyChurn(const scenario::ChurnEvent& event) {
@@ -785,8 +802,7 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
   la::Matrix utility;
   {
     LACB_TRACE_SPAN("serve.utility_matrix");
-    utility = platform_->utility_model().UtilityMatrix(batch.requests,
-                                                       platform_->brokers());
+    utility = platform_->utility_model().UtilityMatrix(batch.requests);
   }
 
   policy::BatchInput input;
@@ -1589,8 +1605,8 @@ Status AssignmentService::ReplayWalRecords(
         // *recorded* assignment, which is what was acknowledged.
         std::vector<double> workloads;
         store_.SnapshotWorkloads(&workloads);
-        la::Matrix utility = platform_->utility_model().UtilityMatrix(
-            record.requests, platform_->brokers());
+        la::Matrix utility =
+            platform_->utility_model().UtilityMatrix(record.requests);
         policy::BatchInput input;
         input.requests = &record.requests;
         input.utility = &utility;

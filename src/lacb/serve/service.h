@@ -437,6 +437,12 @@ class AssignmentService {
   /// replay re-applies the same transition without re-logging it.
   Status DoOpenDay(size_t day, bool log_wal);
   Result<sim::DayOutcome> DoCloseDay(bool log_wal);
+  /// Runs one day-boundary step on every replica at once: replica 0 on the
+  /// calling thread (its time is added to day_boundary_seconds_), each
+  /// other replica on its own thread in the service's telemetry context.
+  /// Returns the lowest-index replica's error.
+  Status ForEachReplica(
+      const std::function<Status(policy::AssignmentPolicy&)>& step);
 
   /// Start()-time warm restart: loads the newest valid checkpoint from
   /// checkpoint_dir (skipping corrupt ones), replays the WAL tail through

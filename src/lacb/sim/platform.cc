@@ -142,7 +142,7 @@ Result<la::Matrix> Platform::BatchUtility(size_t batch) const {
   if (batch >= today_batches_.size()) {
     return Status::OutOfRange("batch index out of range");
   }
-  return utility_model_.UtilityMatrix(today_batches_[batch], brokers_);
+  return utility_model_.UtilityMatrix(today_batches_[batch]);
 }
 
 Status Platform::CommitAssignment(size_t batch,

@@ -43,27 +43,41 @@ struct UtilityModelConfig {
 /// \brief Deterministic utility oracle over (request, broker) pairs.
 class UtilityModel {
  public:
-  /// \brief Precomputes per-broker quality scores from the population.
+  /// \brief Precomputes per-broker quality scores from the population and
+  /// packs the broker-side terms of u_{r,b} for UtilityMatrix.
   static Result<UtilityModel> Create(const std::vector<Broker>& brokers,
                                      const UtilityModelConfig& config = {});
 
   /// \brief u_{r,b} in [0, 1]; deterministic in (r.id, b.id).
   double Utility(const Request& request, const Broker& broker) const;
 
-  /// \brief Dense |requests| × |brokers| utility matrix for one batch.
-  la::Matrix UtilityMatrix(const std::vector<Request>& requests,
-                           const std::vector<Broker>& brokers) const;
+  /// \brief Dense |requests| × |roster| utility matrix for one batch, where
+  /// the roster is the broker list given to Create (column b is its b-th
+  /// broker). For finite embeddings, bit-identical to calling Utility() on
+  /// every pair.
+  la::Matrix UtilityMatrix(const std::vector<Request>& requests) const;
 
  private:
-  UtilityModel(UtilityModelConfig config, std::vector<double> quality_score)
-      : config_(config), quality_score_(std::move(quality_score)) {}
-
-  /// Deterministic noise in [0,1] keyed by the (request, broker) pair.
-  double PairNoise(int64_t request_id, int64_t broker_id) const;
+  UtilityModel() = default;
 
   UtilityModelConfig config_;
   /// Normalized intrinsic quality per broker id (assumes dense 0-based ids).
   std::vector<double> quality_score_;
+
+  // Broker-side terms of the roster, packed with the roster index fastest
+  // so one request's terms for every broker are contiguous.
+  /// quality_score_ of each roster broker.
+  std::vector<double> column_quality_;
+  /// Broker half of each roster broker's pair-noise key.
+  std::vector<uint64_t> noise_key_;
+  /// Housing embeddings as [dimension][broker], zero-padded to the roster's
+  /// widest embedding.
+  size_t embedding_width_ = 0;
+  std::vector<double> embedding_;
+  /// District affinities as [district][broker], zero-padded to the roster's
+  /// longest affinity list, plus one all-zero row for any later district.
+  size_t num_districts_ = 0;
+  std::vector<double> district_affinity_;
 };
 
 }  // namespace lacb::sim

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -387,6 +389,30 @@ TEST(JsonTest, RejectsTrailingJunkAndBadSyntax) {
   EXPECT_FALSE(JsonValue::Parse("{\"a\": }").ok());
   EXPECT_FALSE(JsonValue::Parse("[1, 2").ok());
   EXPECT_FALSE(JsonValue::Parse("").ok());
+}
+
+TEST(JsonTest, FlagsIntegersADoubleCannotHold) {
+  const uint64_t two53 = uint64_t{1} << 53;
+  EXPECT_TRUE(JsonValue(two53).is_exact());
+  EXPECT_FALSE(JsonValue(two53 + 1).is_exact());
+  EXPECT_TRUE(JsonValue(two53 + 2).is_exact());
+  EXPECT_FALSE(JsonValue(~uint64_t{0}).is_exact());
+  EXPECT_TRUE(JsonValue(std::numeric_limits<int64_t>::min()).is_exact());
+  EXPECT_FALSE(JsonValue(-static_cast<int64_t>(two53 + 1)).is_exact());
+  EXPECT_TRUE(JsonValue(0.1).is_exact());
+  struct Case {
+    const char* text;
+    bool exact;
+  };
+  for (const Case& c : {Case{"9007199254740992", true},
+                        Case{"9007199254740993", false},
+                        Case{"-9007199254740993", false},
+                        Case{"18446744073709551616", false},
+                        Case{"1e300", true}, Case{"-0", true}}) {
+    auto v = JsonValue::Parse(c.text);
+    ASSERT_TRUE(v.ok()) << c.text;
+    EXPECT_EQ(v->is_exact(), c.exact) << c.text;
+  }
 }
 
 TEST(JsonTest, ObjectKeepsInsertionOrderAndReplacesDuplicates) {

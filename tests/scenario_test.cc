@@ -203,6 +203,35 @@ TEST(ScenarioSpecTest, ParseRejectsNonIntegralOrOutOfRangeCounts) {
   EXPECT_EQ(ok->churn[0].broker, 3u);
 }
 
+// JSON numbers are doubles: a seed round-trips only up to 2^53, so larger
+// ones are refused on both sides instead of coming back as another seed.
+TEST(ScenarioSpecTest, SeedRoundTripsUpTo2To53AndIsRefusedAbove) {
+  const uint64_t max_seed = uint64_t{1} << 53;
+  scenario::ScenarioSpec spec;
+  spec.seed = max_seed;
+  ASSERT_TRUE(spec.Validate().ok());
+  auto back = scenario::ScenarioSpec::Parse(spec.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->seed, max_seed);
+
+  spec.seed = max_seed + 1;
+  Status invalid = spec.Validate();
+  EXPECT_EQ(invalid.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(invalid.message().find("'seed'"), std::string::npos)
+      << invalid.ToString();
+  // 2^53+1 reads as the double 2^53; the parser flags the lost bit.
+  for (const char* json : {R"({"seed":9007199254740993})",
+                           R"({"seed":9007199254740994})",
+                           R"({"seed":18446744073709551615})",
+                           R"({"seed":99999999999999999999999})"}) {
+    auto parsed = scenario::ScenarioSpec::Parse(json);
+    ASSERT_FALSE(parsed.ok()) << json;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << json;
+    EXPECT_NE(parsed.status().message().find("'seed'"), std::string::npos)
+        << json << " -> " << parsed.status().ToString();
+  }
+}
+
 TEST(ScenarioSpecTest, DefaultSpecIsEmptyAndValid) {
   scenario::ScenarioSpec spec;
   EXPECT_TRUE(spec.Empty());

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,137 @@
 
 namespace lacb::matching {
 namespace {
+
+// Reference Alg. 3 in its plain allocating form, with fresh heavy/equal/
+// light vectors each round. The buffer-reusing one in selection.cc must
+// match it exactly: same indices in the same order, same Rng draws.
+void OracleSelectIndices(const std::vector<double>& utilities,
+                         std::vector<size_t> pool, size_t k, Rng* rng,
+                         std::vector<size_t>* out) {
+  while (k > 0) {
+    if (pool.size() <= k) {
+      out->insert(out->end(), pool.begin(), pool.end());
+      return;
+    }
+    size_t pivot_pos = static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(pool.size()) - 1));
+    double p = utilities[pool[pivot_pos]];
+    std::vector<size_t> heavy;
+    std::vector<size_t> equal;
+    std::vector<size_t> light;
+    for (size_t idx : pool) {
+      if (utilities[idx] > p) {
+        heavy.push_back(idx);
+      } else if (utilities[idx] < p) {
+        light.push_back(idx);
+      } else {
+        equal.push_back(idx);
+      }
+    }
+    if (heavy.size() >= k) {
+      pool = std::move(heavy);
+      continue;
+    }
+    out->insert(out->end(), heavy.begin(), heavy.end());
+    k -= heavy.size();
+    if (equal.size() >= k) {
+      out->insert(out->end(), equal.begin(), equal.begin() + k);
+      return;
+    }
+    out->insert(out->end(), equal.begin(), equal.end());
+    k -= equal.size();
+    pool = std::move(light);
+  }
+}
+
+std::vector<size_t> OracleSelectTopK(const std::vector<double>& utilities,
+                                     size_t k, Rng* rng) {
+  std::vector<size_t> out;
+  if (k == 0) return out;
+  std::vector<size_t> pool(utilities.size());
+  for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
+  OracleSelectIndices(utilities, std::move(pool), k, rng, &out);
+  return out;
+}
+
+std::vector<size_t> OracleCandidateColumns(const la::Matrix& utility,
+                                           Rng* rng) {
+  std::vector<bool> keep(utility.cols(), false);
+  std::vector<double> row(utility.cols());
+  for (size_t r = 0; r < utility.rows(); ++r) {
+    for (size_t c = 0; c < utility.cols(); ++c) row[c] = utility(r, c);
+    for (size_t c : OracleSelectTopK(row, utility.rows(), rng)) keep[c] = true;
+  }
+  std::vector<size_t> out;
+  for (size_t c = 0; c < utility.cols(); ++c) {
+    if (keep[c]) out.push_back(c);
+  }
+  return out;
+}
+
+// Value families for the oracle comparisons: ties are where a partition's
+// order decides which pivot a draw hits and which equal elements are kept.
+enum class Values { kContinuous, kIntegerTied, kAllEqual, kNegative };
+
+double Draw(Values kind, Rng* rng) {
+  switch (kind) {
+    case Values::kContinuous:
+      return rng->Uniform();
+    case Values::kIntegerTied:
+      return static_cast<double>(rng->UniformInt(0, 4));
+    case Values::kAllEqual:
+      return 0.25;
+    case Values::kNegative:
+      return rng->Uniform(-1.0, -0.1);
+  }
+  return 0.0;
+}
+
+constexpr Values kAllValues[] = {Values::kContinuous, Values::kIntegerTied,
+                                 Values::kAllEqual, Values::kNegative};
+
+TEST(SelectTopKTest, MatchesAllocatingOracleAndRngState) {
+  Rng gen(21);
+  for (Values kind : kAllValues) {
+    for (int trial = 0; trial < 60; ++trial) {
+      size_t n = static_cast<size_t>(gen.UniformInt(0, 300));
+      size_t k = static_cast<size_t>(gen.UniformInt(0, 40));
+      std::vector<double> u(n);
+      for (double& v : u) v = Draw(kind, &gen);
+      Rng a(static_cast<uint64_t>(100 + trial));
+      Rng b(static_cast<uint64_t>(100 + trial));
+      auto got = SelectTopK(u, k, &a);
+      ASSERT_TRUE(got.ok());
+      std::vector<size_t> want = OracleSelectTopK(u, k, &b);
+      EXPECT_EQ(*got, want) << "kind=" << static_cast<int>(kind)
+                            << " n=" << n << " k=" << k;
+      EXPECT_EQ(a.SaveState(), b.SaveState());
+    }
+  }
+}
+
+TEST(CandidateColumnsTest, MatchesAllocatingOracleAndRngState) {
+  Rng gen(22);
+  for (Values kind : kAllValues) {
+    for (int trial = 0; trial < 40; ++trial) {
+      // Includes empty batches and batches wider than the roster.
+      size_t rows = static_cast<size_t>(gen.UniformInt(0, 24));
+      size_t cols = static_cast<size_t>(gen.UniformInt(1, 400));
+      la::Matrix u(rows, cols);
+      for (double& v : u.data()) v = Draw(kind, &gen);
+      Rng a(static_cast<uint64_t>(200 + trial));
+      Rng b(static_cast<uint64_t>(200 + trial));
+      auto got = CandidateColumns(u, &a);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, OracleCandidateColumns(u, &b))
+          << "kind=" << static_cast<int>(kind) << " rows=" << rows
+          << " cols=" << cols;
+      EXPECT_EQ(a.SaveState(), b.SaveState());
+    }
+  }
+  la::Matrix one(1, 3, 0.5);
+  EXPECT_FALSE(CandidateColumns(one, nullptr).ok());
+}
 
 TEST(SelectTopKTest, BasicCorrectness) {
   Rng rng(1);

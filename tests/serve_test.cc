@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <thread>
@@ -15,6 +16,8 @@
 #include "lacb/core/engine.h"
 #include "lacb/core/policy_suite.h"
 #include "lacb/obs/obs.h"
+#include "lacb/persist/bytes.h"
+#include "lacb/policy/lacb_policy.h"
 #include "lacb/serve/serve.h"
 
 namespace lacb {
@@ -425,6 +428,73 @@ TEST(ServiceTest, ConcurrentWorkersCompleteFreeRunDay) {
   double total_served = 0.0;
   for (double w : run->broker_requests) total_served += w;
   EXPECT_GT(total_served, 0.0);
+}
+
+// Today's capacity estimates of one replica, decoded from its state.
+std::vector<uint64_t> ReplicaCapacityBits(serve::AssignmentService* service,
+                                          const sim::DatasetConfig& cfg,
+                                          const core::PolicySuiteConfig& suite,
+                                          size_t index, size_t replica) {
+  auto state = service->SerializeReplicaState(replica);
+  EXPECT_TRUE(state.ok()) << state.status().ToString();
+  auto decoded = core::MakeSuitePolicy(cfg, suite, index);
+  EXPECT_TRUE(decoded.ok());
+  EXPECT_TRUE((*decoded)->Initialize(service->platform()).ok());
+  persist::ByteReader reader(*state);
+  EXPECT_TRUE((*decoded)->LoadState(&reader).ok());
+  auto* lacb = dynamic_cast<policy::LacbPolicy*>(decoded->get());
+  EXPECT_NE(lacb, nullptr);
+  std::vector<uint64_t> bits;
+  if (lacb == nullptr) return bits;
+  for (double c : lacb->capacities()) {
+    bits.push_back(std::bit_cast<uint64_t>(c));
+  }
+  return bits;
+}
+
+TEST(ServiceTest, ParallelDayBoundariesKeepReplicasIdentical) {
+  // Day boundaries run every replica's BeginDay/EndDay on its own thread.
+  // Each replica sees the same outcomes, so the learned capacities must
+  // agree to the bit across replicas whatever batches each one solved.
+  obs::ScopedTelemetry telemetry;
+  sim::DatasetConfig cfg = TinyConfig();
+  core::PolicySuiteConfig suite;
+  suite.seed = 55;
+  const size_t index = 8;  // LACB-Opt: bandit estimator + value function
+  serve::ServeOptions opts;
+  opts.num_workers = 3;
+  opts.max_batch_size = 8;
+  opts.max_batch_delay = std::chrono::milliseconds(1);
+  opts.queue_capacity = 4096;
+  auto service = serve::AssignmentService::Create(
+      cfg, core::SuitePolicyFactory(cfg, suite, index), opts);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE((*service)->Start().ok());
+
+  std::vector<uint64_t> first_day;
+  for (size_t day = 0; day < cfg.num_days; ++day) {
+    ASSERT_TRUE((*service)->OpenDay(day).ok());
+    std::vector<uint64_t> lead =
+        ReplicaCapacityBits(service->get(), cfg, suite, index, 0);
+    ASSERT_EQ(lead.size(), cfg.num_brokers);
+    for (size_t replica = 1; replica < opts.num_workers; ++replica) {
+      EXPECT_EQ(ReplicaCapacityBits(service->get(), cfg, suite, index,
+                                    replica),
+                lead)
+          << "day " << day << " replica " << replica;
+    }
+    if (day == 0) first_day = lead;
+    if (day + 1 == cfg.num_days) {
+      EXPECT_NE(lead, first_day) << "capacities never retrained";
+    }
+    for (const auto& batch : (*service)->platform().all_requests()[day]) {
+      for (const sim::Request& r : batch) ASSERT_TRUE((*service)->Submit(r));
+    }
+    auto outcome = (*service)->CloseDay();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  }
+  EXPECT_GT((*service)->Stats().batches, 3 * cfg.num_days);
+  (*service)->Shutdown();
 }
 
 // --- Fault injection primitives ------------------------------------------

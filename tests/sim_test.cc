@@ -176,6 +176,95 @@ TEST(UtilityModelTest, HigherQualityBrokersScoreHigherOnAverage) {
   EXPECT_GT(sum_best / count, sum_worst / count);
 }
 
+// u_{r,b} transcribed from the model's definition, one pair at a time:
+// UtilityMatrix's packed tables must reproduce it bit for bit.
+double PairFormula(const Request& q, const Broker& b, double quality,
+                   const UtilityModelConfig& c) {
+  double district = q.district < b.preference.district_affinity.size()
+                        ? b.preference.district_affinity[q.district]
+                        : 0.0;
+  double taste = 0.0;
+  size_t dims = std::min(q.housing_embedding.size(),
+                         b.preference.housing_embedding.size());
+  for (size_t i = 0; i < dims; ++i) {
+    taste += q.housing_embedding[i] * b.preference.housing_embedding[i];
+  }
+  taste = std::clamp(0.5 * (taste + 1.0), 0.0, 1.0);
+  double affinity = 0.5 * district + 0.5 * taste;
+  affinity = (1.0 - q.pickiness) * affinity + q.pickiness * affinity * affinity;
+  uint64_t z = c.noise_seed;
+  z += 0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(q.id) + 1);
+  z += 0xd1b54a32d192ed03ULL * (static_cast<uint64_t>(b.id) + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  double noise = static_cast<double>(z >> 11) * 0x1.0p-53;
+  double total = c.quality_weight + c.affinity_weight + c.noise_weight;
+  double u = (c.quality_weight * quality + c.affinity_weight * affinity +
+              c.noise_weight * noise) /
+             total;
+  return std::clamp(u, 0.0, 1.0);
+}
+
+TEST(UtilityModelTest, UtilityMatrixMatchesPairFormulaBitForBit) {
+  DatasetConfig cfg;
+  cfg.num_brokers = 37;
+  Rng rng(11);
+  std::vector<Broker> brokers = GenerateBrokers(cfg, &rng);
+  // Ragged rosters: embedding widths 0..11 and affinity lists 0..14 long,
+  // in a shuffled id order (ids stay dense), so padding and the column ↔ id
+  // mapping are both exercised.
+  for (size_t i = 0; i < brokers.size(); ++i) {
+    Preference& p = brokers[i].preference;
+    p.housing_embedding.resize(i % 12);
+    for (double& v : p.housing_embedding) v = rng.Uniform(-0.6, 0.6);
+    p.district_affinity.resize((3 * i) % 15);
+    for (double& v : p.district_affinity) v = rng.Uniform();
+  }
+  std::vector<Broker> roster = brokers;
+  rng.Shuffle(&roster);
+  UtilityModelConfig config;
+  config.quality_compression = 0.7;
+  config.noise_seed = 4242;
+  auto um = UtilityModel::Create(roster, config);
+  ASSERT_TRUE(um.ok());
+
+  std::vector<Request> requests;
+  for (size_t r = 0; r < 29; ++r) {
+    Request q;
+    q.id = static_cast<int64_t>(1000 + 7 * r);
+    // Districts past every broker's list (up to 20 against at most 14).
+    q.district = static_cast<size_t>(rng.UniformInt(0, 20));
+    // Shorter than, equal to and longer than the widest broker embedding.
+    q.housing_embedding.resize(r % 16);
+    for (double& v : q.housing_embedding) v = rng.Uniform(-0.6, 0.6);
+    q.pickiness = rng.Uniform();
+    requests.push_back(q);
+  }
+  la::Matrix m = um->UtilityMatrix(requests);
+  ASSERT_EQ(m.rows(), requests.size());
+  ASSERT_EQ(m.cols(), roster.size());
+
+  double max_q = 0.0;
+  for (const Broker& b : roster) {
+    max_q = std::max(max_q, b.latent.base_quality * b.latent.popularity);
+  }
+  for (size_t r = 0; r < requests.size(); ++r) {
+    for (size_t b = 0; b < roster.size(); ++b) {
+      double raw = roster[b].latent.base_quality *
+                   roster[b].latent.popularity / max_q;
+      double quality = std::pow(raw, config.quality_compression);
+      double want = PairFormula(requests[r], roster[b], quality, config);
+      // Bit equality, not tolerance: the packed build is a pure reordering
+      // of the same floating-point operations.
+      EXPECT_EQ(m(r, b), want) << "r=" << r << " b=" << b;
+      EXPECT_EQ(m(r, b), um->Utility(requests[r], roster[b]))
+          << "r=" << r << " b=" << b;
+    }
+  }
+  EXPECT_EQ(um->UtilityMatrix({}).rows(), 0u);
+}
+
 TEST(UtilityModelTest, CreateValidation) {
   EXPECT_FALSE(UtilityModel::Create({}).ok());
   Broker bad = MakeBroker();
