@@ -48,7 +48,6 @@ Result<SweepPoint> RunSweepPoint(const sim::DatasetConfig& data,
   opts.serve.max_batch_size = 32;
   opts.serve.max_batch_delay = std::chrono::milliseconds(2);
   opts.serve.queue_capacity = 1u << 16;  // free-run saturation, no shedding
-  opts.serve.num_stripes = 16;
   // Sample the breathing of the pipeline every 2ms; the series rides into
   // BENCH_serve.json through each run's telemetry snapshot.
   opts.sample_interval = std::chrono::milliseconds(2);
@@ -111,7 +110,6 @@ Result<SweepPoint> RunFaultPoint(const sim::DatasetConfig& data,
   opts.serve.max_batch_size = 32;
   opts.serve.max_batch_delay = std::chrono::milliseconds(2);
   opts.serve.queue_capacity = 1u << 16;
-  opts.serve.num_stripes = 16;
   // Arm the whole fault-tolerance surface: budgeted solves (generous, so
   // only injected overruns degrade), bounded commit retries, supervision.
   opts.serve.solve_budget = std::chrono::seconds(10);

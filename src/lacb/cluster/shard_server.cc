@@ -101,7 +101,6 @@ Status ShardServer::HandleAssignRange(const std::string& payload, bool adopt) {
   opts.checkpoint_dir = msg.checkpoint_dir;
   opts.checkpoint_interval_batches = msg.checkpoint_interval_batches;
   opts.wal_fsync = msg.wal_fsync;
-  opts.record_replay_log = true;
   const uint64_t range = msg.range;
   opts.disposition_sink = [this, range](const serve::BatchDisposition& d) {
     DispositionMsg out;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace lacb::obs {
 
@@ -239,19 +240,38 @@ class JsonParser {
   }
 
   Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
+    // The whole of JSON's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?
+    // ([eE][+-]?[0-9]+)?, must match: a literal that stops early ("1-2",
+    // "3.0.0") or runs short ("7e", "-") is refused, not read as the
+    // longest prefix std::stod would take.
+    const size_t start = pos_;
+    auto at = [&](std::string_view set) {
+      return pos_ < text_.size() &&
+             set.find(text_[pos_]) != std::string_view::npos;
+    };
+    auto digits = [&] {
+      const size_t from = pos_;
+      while (at("0123456789")) ++pos_;
+      return pos_ > from;
+    };
+    if (at("-")) ++pos_;
+    bool ok = at("0") ? (++pos_, true) : digits();
+    if (ok && at(".")) {
       ++pos_;
+      ok = digits();
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
+    if (ok && at("eE")) {
       ++pos_;
+      if (at("+-")) ++pos_;
+      ok = digits();
     }
     if (pos_ == start) {
       return Status::InvalidArgument("JSON: expected value at offset " +
                                      std::to_string(pos_));
+    }
+    if (!ok || at("0123456789.eE+-")) {
+      return Status::InvalidArgument("JSON: malformed number at offset " +
+                                     std::to_string(start));
     }
     const std::string literal = text_.substr(start, pos_ - start);
     JsonValue v;
@@ -262,11 +282,11 @@ class JsonParser {
     }
     // An integer literal past 2^53 may lose low bits in the double; record
     // whether it did, so integer readers can refuse a rounded value.
-    const size_t digits = literal[0] == '-' || literal[0] == '+' ? 1 : 0;
-    if (literal.find_first_not_of("0123456789", digits) == std::string::npos) {
+    const size_t sign = literal[0] == '-' ? 1 : 0;
+    if (literal.find_first_not_of("0123456789", sign) == std::string::npos) {
       uint64_t magnitude = 0;
       const bool parsed =
-          std::from_chars(literal.data() + digits,
+          std::from_chars(literal.data() + sign,
                           literal.data() + literal.size(), magnitude)
               .ec == std::errc();
       v.exact_ = parsed && JsonValue::HoldsExactly(magnitude);

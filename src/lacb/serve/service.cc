@@ -5,7 +5,6 @@
 #include <limits>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "lacb/common/rng.h"
@@ -19,10 +18,63 @@ namespace lacb::serve {
 
 namespace {
 
+// Seed of the deterministic commit-retry jitter.
+constexpr uint64_t kRetryJitterSeed = 2027;
+// Health reports degraded for this long after the latest fault incident
+// (stall, crash, retry, degraded batch).
+constexpr std::chrono::milliseconds kHealthWindow{2000};
+// Checkpoints (and their WALs) retained before pruning.
+constexpr size_t kCheckpointRetain = 3;
+// Lock stripes of the broker store.
+constexpr size_t kStoreStripes = 16;
+
 // Flow identity of a request across the serve pipeline. Request ids are
 // non-negative and a flow id of 0 means "no flow", so shift by one.
-uint64_t RequestFlowId(const sim::Request& request) {
-  return static_cast<uint64_t>(request.id) + 1;
+uint64_t RequestFlowId(int64_t request_id) {
+  return static_cast<uint64_t>(request_id) + 1;
+}
+
+// The per-request fates of one batch: ids in `appealed` are pending, the
+// rest are assigned or unmatched by `assignment` (an id past its end is
+// unmatched). CommitExternalBatch reports appeals in batch order, so one
+// forward walk matches them. A batch that never committed passes an empty
+// assignment and no appeals, and its caller relabels `unmatched`.
+BatchDisposition MakeDisposition(uint64_t token, uint64_t day,
+                                 const std::vector<sim::Request>& requests,
+                                 const std::vector<int64_t>& assignment,
+                                 const std::vector<sim::Request>& appealed) {
+  BatchDisposition d;
+  d.token = token;
+  d.day = day;
+  size_t next_appeal = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const int64_t id = requests[i].id;
+    if (next_appeal < appealed.size() && appealed[next_appeal].id == id) {
+      d.appealed.push_back(id);
+      ++next_appeal;
+    } else if (i < assignment.size() && assignment[i] >= 0) {
+      d.assigned.push_back(id);
+    } else {
+      d.unmatched.push_back(id);
+    }
+  }
+  return d;
+}
+
+// Voids every edge into a broker that `active_mask` marks inactive (an
+// empty mask voids nothing) and returns how many it voided.
+size_t SanitizeAssignment(const std::vector<uint8_t>& active_mask,
+                          std::vector<int64_t>* assignment) {
+  size_t voided = 0;
+  if (active_mask.empty()) return voided;
+  for (int64_t& a : *assignment) {
+    if (a >= 0 && static_cast<size_t>(a) < active_mask.size() &&
+        active_mask[static_cast<size_t>(a)] == 0) {
+      a = matching::kUnmatched;
+      ++voided;
+    }
+  }
+  return voided;
 }
 
 void WriteBrokerSlots(persist::ByteWriter* w,
@@ -53,6 +105,16 @@ Result<std::vector<BrokerSlot>> ReadBrokerSlots(persist::ByteReader* r) {
     slots.push_back(s);
   }
   return slots;
+}
+
+// Reader over section `name` of `ckpt`; InvalidArgument when it is absent.
+Result<persist::ByteReader> SectionReader(const persist::Checkpoint& ckpt,
+                                          const std::string& name) {
+  const persist::CheckpointSection* section = ckpt.Find(name);
+  if (section == nullptr) {
+    return Status::InvalidArgument("checkpoint missing section " + name);
+  }
+  return persist::ByteReader(section->payload);
 }
 
 }  // namespace
@@ -107,7 +169,7 @@ AssignmentService::AssignmentService(
       platform_(std::move(platform)),
       replicas_(std::move(replicas)),
       policy_name_(replicas_.front()->name()),
-      store_(platform_->num_brokers(), options.num_stripes) {
+      store_(platform_->num_brokers(), kStoreStripes) {
   channel_capacity_ = options_.batch_channel_capacity != 0
                           ? options_.batch_channel_capacity
                           : 2 * options_.num_workers;
@@ -285,8 +347,7 @@ Status AssignmentService::Start() {
     persist_ckpt_seconds_hist_ =
         &registry_->GetHistogram("persist.checkpoint_seconds");
     ckpt_mgr_ = std::make_unique<persist::CheckpointManager>(
-        options_.checkpoint_dir, options_.checkpoint_retain,
-        options_.wal_fsync);
+        options_.checkpoint_dir, kCheckpointRetain, options_.wal_fsync);
     // Warm restart happens before any thread spawns: the batcher's token
     // counter and carryover are still single-owner here.
     LACB_RETURN_NOT_OK(RestoreFromDurable());
@@ -323,15 +384,23 @@ Status AssignmentService::OpenDay(size_t day) {
   return DoOpenDay(day, /*log_wal=*/true);
 }
 
+template <typename Append>
+Status AssignmentService::JournalLocked(const Append& append) {
+  if (wal_ == nullptr) return Status::OK();
+  const uint64_t before = wal_->bytes_written();
+  LACB_RETURN_NOT_OK(append(*wal_));
+  persist_wal_records_counter_->Increment();
+  persist_wal_bytes_counter_->Increment(wal_->bytes_written() - before);
+  return Status::OK();
+}
+
 Status AssignmentService::DoOpenDay(size_t day, bool log_wal) {
   {
     std::lock_guard<std::mutex> lock(env_mu_);
     LACB_RETURN_NOT_OK(platform_->StartDayExternal(day));
-    if (log_wal && wal_ != nullptr) {
-      uint64_t before = wal_->bytes_written();
-      LACB_RETURN_NOT_OK(wal_->AppendDayOpen(day));
-      persist_wal_records_counter_->Increment();
-      persist_wal_bytes_counter_->Increment(wal_->bytes_written() - before);
+    if (log_wal) {
+      LACB_RETURN_NOT_OK(JournalLocked(
+          [day](persist::WalWriter& wal) { return wal.AppendDayOpen(day); }));
     }
   }
   store_.ResetDay();
@@ -347,24 +416,8 @@ Status AssignmentService::DoOpenDay(size_t day, bool log_wal) {
   }
   if (options_.scenario != nullptr && options_.scenario->HasChurn()) {
     std::lock_guard<std::mutex> lock(env_mu_);
-    const std::vector<scenario::ChurnEvent>& timeline =
-        options_.scenario->timeline();
-    // Skip events of earlier days without applying them: on a warm restart
-    // the activity mask already arrived inside the checkpointed platform,
-    // and replaying past churn on top of it would double-apply.
-    while (churn_cursor_ < timeline.size() &&
-           timeline[churn_cursor_].day < day) {
-      ++churn_cursor_;
-    }
     // Day-open events (batch_offset 0) land before the first batch.
-    while (churn_cursor_ < timeline.size() &&
-           timeline[churn_cursor_].day == day &&
-           timeline[churn_cursor_].batch_offset == 0) {
-      bool applied = false;
-      LACB_RETURN_NOT_OK(
-          ApplyChurnEventLocked(timeline[churn_cursor_], &applied));
-      ++churn_cursor_;
-    }
+    LACB_RETURN_NOT_OK(AdvanceChurnLocked(day, 0));
     // Sync the store to the platform's mask: the lead replica published
     // capacity estimates for the whole roster above, including brokers
     // that are currently churned away (initial mask or restored state).
@@ -405,7 +458,7 @@ bool AssignmentService::Submit(const sim::Request& request) {
     // The flow arrow starts at the producer's enqueue slice and is picked
     // up by the batcher and worker threads downstream.
     recorder_->Begin("serve.enqueue");
-    recorder_->FlowBegin("serve.request", RequestFlowId(request));
+    recorder_->FlowBegin("serve.request", RequestFlowId(request.id));
     recorder_->End("serve.enqueue");
   }
   return true;
@@ -464,32 +517,18 @@ Result<sim::DayOutcome> AssignmentService::DoCloseDay(bool log_wal) {
   sim::DayOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(env_mu_);
-    if (options_.scenario != nullptr && options_.scenario->HasChurn()) {
-      // Day-tail churn (batch_offset at/after the day's last commit)
-      // still lands inside the open day, so fail-retirement can void the
-      // broker's in-flight edges before they realize utility.
-      const std::vector<scenario::ChurnEvent>& timeline =
-          options_.scenario->timeline();
-      size_t day = current_day_.load(std::memory_order_acquire);
-      while (churn_cursor_ < timeline.size() &&
-             timeline[churn_cursor_].day <= day) {
-        if (timeline[churn_cursor_].day == day) {
-          bool applied = false;
-          LACB_RETURN_NOT_OK(
-              ApplyChurnEventLocked(timeline[churn_cursor_], &applied));
-        }
-        ++churn_cursor_;
-      }
-    }
-    if (log_wal && wal_ != nullptr) {
+    const size_t day = current_day_.load(std::memory_order_acquire);
+    // Day-tail churn (batch_offset at/after the day's last commit) still
+    // lands inside the open day, so fail-retirement can void the broker's
+    // in-flight edges before they realize utility.
+    LACB_RETURN_NOT_OK(
+        AdvanceChurnLocked(day, std::numeric_limits<uint64_t>::max()));
+    if (log_wal) {
       // Redo logging: the close is journaled *before* it applies, so a
       // crash between the append and EndDay replays the close instead of
       // losing the day's feedback broadcast.
-      uint64_t before = wal_->bytes_written();
-      LACB_RETURN_NOT_OK(
-          wal_->AppendDayClose(current_day_.load(std::memory_order_acquire)));
-      persist_wal_records_counter_->Increment();
-      persist_wal_bytes_counter_->Increment(wal_->bytes_written() - before);
+      LACB_RETURN_NOT_OK(JournalLocked(
+          [day](persist::WalWriter& wal) { return wal.AppendDayClose(day); }));
     }
     LACB_ASSIGN_OR_RETURN(outcome, platform_->EndDay());
   }
@@ -527,13 +566,11 @@ Status AssignmentService::ApplyChurn(const scenario::ChurnEvent& event) {
     return Status::FailedPrecondition("churn requires an open day");
   }
   std::lock_guard<std::mutex> lock(env_mu_);
-  bool applied = false;
-  return ApplyChurnEventLocked(event, &applied);
+  return ApplyChurnEventLocked(event);
 }
 
 Status AssignmentService::ApplyChurnEventLocked(
-    const scenario::ChurnEvent& event, bool* applied) {
-  *applied = false;
+    const scenario::ChurnEvent& event) {
   if (event.broker >= platform_->num_brokers()) {
     return Status::OutOfRange("churn event names an unknown broker");
   }
@@ -549,47 +586,40 @@ Status AssignmentService::ApplyChurnEventLocked(
       if (cold > 0.0) store_.SetBrokerCapacity(event.broker, cold);
       break;
     }
-    case scenario::ChurnKind::kLeave: {
-      if (!platform_->BrokerActive(event.broker)) return Status::OK();
-      LACB_RETURN_NOT_OK(platform_->SetBrokerActive(event.broker, false));
-      store_.RetireBroker(event.broker);
-      break;
-    }
+    case scenario::ChurnKind::kLeave:
     case scenario::ChurnKind::kFail: {
       if (!platform_->BrokerActive(event.broker)) return Status::OK();
       LACB_RETURN_NOT_OK(platform_->SetBrokerActive(event.broker, false));
       store_.RetireBroker(event.broker);
-      LACB_RETURN_NOT_OK(platform_->RetireBrokerDay(event.broker));
+      if (event.kind == scenario::ChurnKind::kFail) {
+        LACB_RETURN_NOT_OK(platform_->RetireBrokerDay(event.broker));
+      }
       break;
     }
   }
-  *applied = true;
   churn_events_.fetch_add(1, std::memory_order_relaxed);
   if (recorder_ != nullptr) recorder_->Instant("serve.churn");
   return Status::OK();
 }
 
-void AssignmentService::ApplyScenarioChurnDueLocked() {
-  if (options_.scenario == nullptr || !options_.scenario->HasChurn()) return;
+Status AssignmentService::AdvanceChurnLocked(size_t day, uint64_t max_offset) {
+  if (options_.scenario == nullptr) return Status::OK();
   const std::vector<scenario::ChurnEvent>& timeline =
       options_.scenario->timeline();
-  size_t day = current_day_.load(std::memory_order_acquire);
-  uint64_t commits = commits_today_.load(std::memory_order_acquire);
   while (churn_cursor_ < timeline.size()) {
     const scenario::ChurnEvent& ev = timeline[churn_cursor_];
-    if (ev.day < day) {  // stale after a warm restart: already in the mask
+    // An event of an earlier day is skipped, not applied: on a warm restart
+    // the activity mask arrived inside the checkpointed platform, and
+    // replaying past churn on top of it would double-apply.
+    if (ev.day < day) {
       ++churn_cursor_;
       continue;
     }
-    if (ev.day != day || ev.batch_offset > commits) break;
-    bool applied = false;
-    Status status = ApplyChurnEventLocked(ev, &applied);
-    if (!status.ok()) {
-      SetError(status);
-      return;
-    }
+    if (ev.day > day || ev.batch_offset > max_offset) break;
+    LACB_RETURN_NOT_OK(ApplyChurnEventLocked(ev));
     ++churn_cursor_;
   }
+  return Status::OK();
 }
 
 void AssignmentService::Shutdown() {
@@ -632,18 +662,8 @@ void AssignmentService::Shutdown() {
   // dropped here with accounting, keeping the conservation identity exact:
   //   submitted == assigned + unmatched + failed + dropped_appeals.
   if (batcher_ != nullptr) {
-    size_t stranded = batcher_->carryover_size();
-    if (stranded > 0) {
-      dropped_counter_->Increment(stranded);
-      if (options_.disposition_sink) {
-        BatchDisposition d;  // token 0: not batch-scoped, shutdown overflow
-        d.day = current_day_.load(std::memory_order_acquire);
-        for (const sim::Request& r : batcher_->SnapshotCarryover()) {
-          d.dropped.push_back(r.id);
-        }
-        EmitDisposition(d);
-      }
-    }
+    DropRequests(/*token=*/0, batcher_->SnapshotCarryover(),
+                 DropKind::kDroppedAppeal);
   }
   // Final drop-count sync: runs without an exposition server too, so the
   // captured RunTelemetry carries the truthful totals.
@@ -659,7 +679,7 @@ void AssignmentService::BatcherLoop() {
     if (recorder_ != nullptr) {
       recorder_->Begin("serve.batch_close");
       for (const sim::Request& r : batch->requests) {
-        recorder_->FlowStep("serve.request", RequestFlowId(r));
+        recorder_->FlowStep("serve.request", RequestFlowId(r.id));
       }
       recorder_->End("serve.batch_close");
     }
@@ -725,29 +745,19 @@ void AssignmentService::WorkerLoop(size_t worker_index) {
       std::this_thread::sleep_for(loop_fault.stall);
     }
 
-    const uint64_t token = batch.token;
-    const size_t batch_requests = batch.requests.size();
-    const int64_t from_queue = static_cast<int64_t>(batch.from_queue);
-    Status status = ProcessBatch(worker_index, std::move(batch));
+    Status status = ProcessBatch(worker_index, batch);
     if (supervised) supervisor_->Unpark(worker_index);
     if (!status.ok()) {
       SetError(status);
       // Fatal error before the terminal claim: fail the batch explicitly
       // so the ledger still balances and WaitIdle observes the retire.
-      bool claimed = false;
-      {
-        std::lock_guard<std::mutex> lock(env_mu_);
-        claimed = TryClaimTerminalLocked(token);
-      }
-      if (claimed) {
-        failed_counter_->Increment(batch_requests);
-        RetireWork(from_queue);
-      }
+      DropBatchTerminal(batch, DropKind::kFailed);
     }
   }
 }
 
-Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
+Status AssignmentService::ProcessBatch(size_t worker_index,
+                                       const MicroBatch& batch) {
   LACB_TRACE_SPAN("serve.batch");
   const bool attribute = stage_queue_wait_hist_ != nullptr;
   std::chrono::steady_clock::time_point picked_up{};
@@ -780,98 +790,18 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
     std::this_thread::sleep_for(store_fault.stall);
     if (supervisor_ != nullptr) supervisor_->Beat(worker_index);
   }
-  std::vector<double> workloads;
-  store_.SnapshotWorkloads(&workloads);
-  // Scenario churn steering: the policy sees churned-away brokers as
-  // saturated. The mask copy happens under env_mu_ (churn mutates it at
-  // commit boundaries); with several workers a batch may race the event
-  // one commit either way — the post-solve sanitization below is what
-  // guarantees no assignment ever lands on an inactive broker.
-  std::vector<uint8_t> active_mask;
-  const bool churning =
-      options_.scenario != nullptr && options_.scenario->HasChurn();
-  if (churning) {
-    std::lock_guard<std::mutex> lock(env_mu_);
-    active_mask = platform_->ActiveMaskCopy();
-  }
-  if (!active_mask.empty()) {
-    for (size_t b = 0; b < active_mask.size() && b < workloads.size(); ++b) {
-      if (active_mask[b] == 0) workloads[b] = scenario::kInactiveWorkload;
-    }
-  }
-  la::Matrix utility;
-  {
-    LACB_TRACE_SPAN("serve.utility_matrix");
-    utility = platform_->utility_model().UtilityMatrix(batch.requests);
-  }
-
-  policy::BatchInput input;
-  input.requests = &batch.requests;
-  input.utility = &utility;
-  input.workloads = &workloads;
-  input.day = current_day_.load(std::memory_order_acquire);
-  input.batch = batch_seq_.fetch_add(1, std::memory_order_acq_rel);
-  input.collect_solve_stats = options_.solver_introspection;
-
-  // Solve under budget. An injected overrun models a deadline abort: the
-  // real solve is skipped outright (replica state untouched, no RNG
-  // consumed — what a true cancellation would do). A measured overrun is
-  // detected after the fact, so its result is discarded. Both degrade to
-  // the greedy capacity-aware fallback over the store's residual view:
-  // feasible, O(R×B), bounded utility loss instead of a missed batch.
+  BatchStage stage;
+  BuildBatchInput(batch.requests, &stage);
   std::vector<int64_t> assignment;
-  bool degraded = false;
-  const bool budgeted = options_.solve_budget.count() > 0;
-  FaultDecision solve_fault = DecideAt(injector_.get(), FaultSite::kSolve);
-  if (budgeted && solve_fault.action == FaultAction::kOverBudgetSolve) {
-    degraded = true;
-  } else {
-    LACB_TRACE_SPAN("serve.assign");
-    Stopwatch sw;
-    LACB_ASSIGN_OR_RETURN(assignment,
-                          replicas_[worker_index]->AssignBatch(input));
-    double elapsed = sw.ElapsedSeconds();
-    assign_latency_hist_->Record(elapsed);
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      assign_seconds_ += elapsed;
-    }
-    if (attribute) {
-      stage_solve_hist_->Record(elapsed);
-      stage_solve_total_->Add(elapsed);
-    }
-    if (options_.solver_introspection) {
-      if (const matching::SolveStats* ss =
-              replicas_[worker_index]->last_solve_stats();
-          ss != nullptr) {
-        RecordSolveStats(*ss);
-      }
-    }
-    if (budgeted &&
-        elapsed > std::chrono::duration<double>(options_.solve_budget).count()) {
-      degraded = true;
-    }
-  }
-  if (degraded) {
-    LACB_TRACE_SPAN("serve.assign_degraded");
-    assignment = GreedyCapacityAssign(
-        input, store_.ResidualCapacities(
-                   std::numeric_limits<double>::infinity()));
-  }
+  LACB_ASSIGN_OR_RETURN(const bool degraded,
+                        SolveBatch(worker_index, stage.input, &assignment));
   // Sanitize before the commit (and before the WAL append inside it, so a
   // replayed batch re-commits the already-sanitized assignment): an edge
   // into an inactive broker becomes terminally unmatched. Catches both the
   // steered policy solve and the greedy fallback — the fallback treats the
   // retired broker's unknown capacity (0) as infinite residual.
-  if (!active_mask.empty()) {
-    for (int64_t& a : assignment) {
-      if (a >= 0 && static_cast<size_t>(a) < active_mask.size() &&
-          active_mask[static_cast<size_t>(a)] == 0) {
-        a = matching::kUnmatched;
-        churn_rejected_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
+  churn_rejected_.fetch_add(SanitizeAssignment(stage.active_mask, &assignment),
+                            std::memory_order_relaxed);
   if (supervisor_ != nullptr) supervisor_->Beat(worker_index);
 
   Stopwatch stage_sw;  // the commit stage starts here
@@ -880,141 +810,20 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
   sim::ExternalCommitOutcome commit;
   LACB_RETURN_NOT_OK(CommitWithRetry(worker_index, batch, assignment, &owner,
                                      &committed, &commit));
-  const double commit_seconds = attribute ? stage_sw.ElapsedSeconds() : 0.0;
   if (!owner) {
     // A twin claimed the terminal first: it did (or will do) the
     // disposition and the retire; this copy evaporates.
     return Status::OK();
   }
-
   // Terminal owner: batch-level instruments count exactly once per token,
   // no matter how many twins raced.
-  batch_counter_->Increment();
-  switch (batch.close_cause) {
-    case BatchCloseCause::kSize:
-      size_close_counter_->Increment();
-      break;
-    case BatchCloseCause::kDeadline:
-      deadline_close_counter_->Increment();
-      break;
-    case BatchCloseCause::kFlush:
-    case BatchCloseCause::kShutdown:
-      flush_close_counter_->Increment();
-      break;
-  }
-  batch_size_hist_->Record(static_cast<double>(batch.requests.size()));
-  if (attribute) {
-    // Queue wait is per request (arrival → batch close); the batch's
-    // critical-path contribution is the longest waiter. Channel wait and
-    // everything downstream are batch-scoped.
-    double max_queue_wait = 0.0;
-    for (const auto& arrival : batch.arrival_times) {
-      double wait =
-          std::chrono::duration<double>(batch.closed_at - arrival).count();
-      if (wait < 0.0) wait = 0.0;
-      stage_queue_wait_hist_->Record(wait);
-      if (wait > max_queue_wait) max_queue_wait = wait;
-    }
-    stage_queue_wait_total_->Add(max_queue_wait);
-    double channel_wait =
-        std::chrono::duration<double>(picked_up - batch.closed_at).count();
-    if (channel_wait < 0.0) channel_wait = 0.0;
-    stage_channel_wait_hist_->Record(channel_wait);
-    stage_channel_wait_total_->Add(channel_wait);
-    stage_commit_hist_->Record(commit_seconds);
-    stage_commit_total_->Add(commit_seconds);
-    stage_sw.Restart();  // the disposition stage starts here
-  }
+  RecordBatchClose(batch, picked_up, attribute ? stage_sw.ElapsedSeconds() : 0);
+  if (attribute) stage_sw.Restart();  // the disposition stage starts here
   if (degraded) {
     degraded_counter_->Increment();
     RecordIncident("degraded_batch");
   }
-
-  if (committed) {
-    const bool sink = static_cast<bool>(options_.disposition_sink);
-    std::unordered_set<int64_t> appealed_ids;
-    if (recorder_ != nullptr || sink) {
-      appealed_ids.reserve(commit.appealed.size());
-      for (const sim::Request& r : commit.appealed) appealed_ids.insert(r.id);
-    }
-    if (recorder_ != nullptr) {
-      // Terminate each request's flow at the commit; appealed requests
-      // keep their flow alive (they re-enter through carryover and step
-      // again at the next batch close).
-      recorder_->Begin("serve.disposition");
-      for (const sim::Request& r : batch.requests) {
-        if (appealed_ids.count(r.id) == 0) {
-          recorder_->FlowEnd("serve.request", RequestFlowId(r));
-        }
-      }
-      recorder_->End("serve.disposition");
-    }
-    BatchDisposition disposition;
-    if (sink) {
-      disposition.token = batch.token;
-      disposition.day = current_day_.load(std::memory_order_acquire);
-      for (size_t i = 0; i < batch.requests.size(); ++i) {
-        const sim::Request& r = batch.requests[i];
-        if (appealed_ids.count(r.id) != 0) continue;
-        if (i < assignment.size() && assignment[i] >= 0) {
-          disposition.assigned.push_back(r.id);
-        } else {
-          disposition.unmatched.push_back(r.id);
-        }
-      }
-    }
-
-    if (!commit.appealed.empty()) {
-      appeal_counter_->Increment(commit.appealed.size());
-      if (queue_->closed()) {
-        // Shutdown already retired the batcher: an appeal re-queued now
-        // would never be drained. Drop with accounting instead of
-        // leaking the requests out of the ledger.
-        dropped_counter_->Increment(commit.appealed.size());
-        if (sink) {
-          for (const sim::Request& r : commit.appealed) {
-            disposition.dropped.push_back(r.id);
-          }
-        }
-      } else {
-        if (sink) {
-          for (const sim::Request& r : commit.appealed) {
-            disposition.appealed.push_back(r.id);
-          }
-        }
-        batcher_->AddCarryover(std::move(commit.appealed));
-        carryover_gauge_->Set(static_cast<double>(batcher_->carryover_size()));
-      }
-    }
-    store_.CommitAccepted(commit.accepted);
-    assigned_counter_->Increment(commit.accepted.size());
-    size_t unmatched = 0;
-    for (int64_t a : assignment) {
-      if (a < 0) ++unmatched;
-    }
-    unmatched_counter_->Increment(unmatched);
-    if (sink) EmitDisposition(disposition);
-
-    auto now = std::chrono::steady_clock::now();
-    for (const auto& arrival : batch.arrival_times) {
-      double e2e = std::chrono::duration<double>(now - arrival).count();
-      e2e_latency_hist_->Record(e2e);
-      RecordLatencySlo(e2e);
-    }
-  } else {
-    // Retry budget exhausted and the platform confirmed nothing applied:
-    // the whole batch is shed with explicit accounting.
-    failed_counter_->Increment(batch.requests.size());
-    if (options_.disposition_sink) {
-      BatchDisposition d;
-      d.token = batch.token;
-      d.day = current_day_.load(std::memory_order_acquire);
-      d.failed.reserve(batch.requests.size());
-      for (const sim::Request& r : batch.requests) d.failed.push_back(r.id);
-      EmitDisposition(d);
-    }
-    RecordIncident("commit_failed");
-  }
+  DisposeBatch(batch, assignment, committed, &commit);
   if (attribute) {
     double disposition_seconds = stage_sw.ElapsedSeconds();
     stage_disposition_hist_->Record(disposition_seconds);
@@ -1033,6 +842,87 @@ Status AssignmentService::ProcessBatch(size_t worker_index, MicroBatch batch) {
     SetError(Status::Internal("injected process kill (fault plan)"));
   }
   return Status::OK();
+}
+
+void AssignmentService::BuildBatchInput(
+    const std::vector<sim::Request>& requests, BatchStage* stage) {
+  store_.SnapshotWorkloads(&stage->workloads);
+  // Scenario churn steering: the policy sees churned-away brokers as
+  // saturated. The mask copy happens under env_mu_ (churn mutates it at
+  // commit boundaries); with several workers a batch may race the event
+  // one commit either way — SanitizeAssignment is what guarantees no
+  // assignment ever lands on an inactive broker.
+  if (options_.scenario != nullptr && options_.scenario->HasChurn()) {
+    {
+      std::lock_guard<std::mutex> lock(env_mu_);
+      stage->active_mask = platform_->ActiveMaskCopy();
+    }
+    const size_t n =
+        std::min(stage->active_mask.size(), stage->workloads.size());
+    for (size_t b = 0; b < n; ++b) {
+      if (stage->active_mask[b] == 0) {
+        stage->workloads[b] = scenario::kInactiveWorkload;
+      }
+    }
+  }
+  {
+    LACB_TRACE_SPAN("serve.utility_matrix");
+    stage->utility = platform_->utility_model().UtilityMatrix(requests);
+  }
+  stage->input.requests = &requests;
+  stage->input.utility = &stage->utility;
+  stage->input.workloads = &stage->workloads;
+  stage->input.day = current_day_.load(std::memory_order_acquire);
+  stage->input.batch = batch_seq_.fetch_add(1, std::memory_order_acq_rel);
+  stage->input.collect_solve_stats = options_.solver_introspection;
+}
+
+Result<bool> AssignmentService::SolveBatch(size_t worker_index,
+                                           const policy::BatchInput& input,
+                                           std::vector<int64_t>* assignment) {
+  // An injected overrun models a deadline abort: the real solve is skipped
+  // outright (replica state untouched, no RNG consumed — what a true
+  // cancellation would do). A measured overrun is detected after the fact,
+  // so its result is discarded. Both degrade to the greedy capacity-aware
+  // fallback over the store's residual view: feasible, O(R×B), bounded
+  // utility loss instead of a missed batch.
+  const bool budgeted = options_.solve_budget.count() > 0;
+  FaultDecision solve_fault = DecideAt(injector_.get(), FaultSite::kSolve);
+  bool degraded =
+      budgeted && solve_fault.action == FaultAction::kOverBudgetSolve;
+  if (!degraded) {
+    LACB_TRACE_SPAN("serve.assign");
+    Stopwatch sw;
+    LACB_ASSIGN_OR_RETURN(*assignment,
+                          replicas_[worker_index]->AssignBatch(input));
+    double elapsed = sw.ElapsedSeconds();
+    assign_latency_hist_->Record(elapsed);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      assign_seconds_ += elapsed;
+    }
+    if (stage_solve_hist_ != nullptr) {
+      stage_solve_hist_->Record(elapsed);
+      stage_solve_total_->Add(elapsed);
+    }
+    if (options_.solver_introspection) {
+      if (const matching::SolveStats* ss =
+              replicas_[worker_index]->last_solve_stats();
+          ss != nullptr) {
+        RecordSolveStats(*ss);
+      }
+    }
+    degraded =
+        budgeted &&
+        elapsed > std::chrono::duration<double>(options_.solve_budget).count();
+  }
+  if (degraded) {
+    LACB_TRACE_SPAN("serve.assign_degraded");
+    *assignment = GreedyCapacityAssign(
+        input, store_.ResidualCapacities(
+                   std::numeric_limits<double>::infinity()));
+  }
+  return degraded;
 }
 
 Status AssignmentService::CommitWithRetry(
@@ -1057,32 +947,11 @@ Status AssignmentService::CommitWithRetry(
         return Status::OK();  // a twin finished this batch; not the owner
       }
       if (fault.action != FaultAction::kTransientError) {
-        LACB_ASSIGN_OR_RETURN(*outcome,
-                              platform_->CommitExternalBatch(
-                                  batch.requests, assignment, batch.token));
-        if (!outcome->duplicate) {
-          // First live apply of this token: journal it atomically with
-          // the platform mutation (same env_mu_ critical section). This
-          // runs even when the injected fault is a lost *ack* — the
-          // commit applied, so it is durable state.
-          if (wal_ != nullptr) {
-            uint64_t before = wal_->bytes_written();
-            LACB_RETURN_NOT_OK(wal_->AppendBatch(
-                batch.token, current_day_.load(std::memory_order_acquire),
-                static_cast<uint32_t>(worker_index), batch.requests,
-                assignment));
-            persist_wal_records_counter_->Increment();
-            persist_wal_bytes_counter_->Increment(wal_->bytes_written() -
-                                                  before);
-          }
-          commits_applied_.fetch_add(1, std::memory_order_acq_rel);
-          commits_since_ckpt_.fetch_add(1, std::memory_order_acq_rel);
-          commits_today_.fetch_add(1, std::memory_order_acq_rel);
-          // Mid-day scenario churn lands at commit boundaries: an event
-          // with batch_offset k applies once k batches of its day have
-          // committed, atomically with the commit under env_mu_.
-          ApplyScenarioChurnDueLocked();
-        }
+        // The first apply is journaled even when the injected fault is a
+        // lost *ack*: the commit applied, so it is durable state.
+        LACB_RETURN_NOT_OK(ApplyCommitLocked(
+            batch.token, static_cast<uint32_t>(worker_index), batch.requests,
+            assignment, /*log_wal=*/true, outcome));
         if (fault.action != FaultAction::kTransientErrorAfterApply) {
           *owner = TryClaimTerminalLocked(batch.token);
           *committed = true;
@@ -1104,7 +973,7 @@ Status AssignmentService::CommitWithRetry(
       int64_t capped_us =
           std::min(options_.commit_backoff_cap.count(), base_us);
       double jitter =
-          0.5 + 0.5 * Rng(options_.retry_jitter_seed)
+          0.5 + 0.5 * Rng(kRetryJitterSeed)
                           .Fork(batch.token * 0x9e3779b9ULL + attempt)
                           .Uniform();
       std::this_thread::sleep_for(std::chrono::microseconds(
@@ -1115,19 +984,141 @@ Status AssignmentService::CommitWithRetry(
   // Retries exhausted. The last failure may have been a lost ack (the
   // commit applied), so reconcile against the platform before declaring
   // the batch failed — otherwise capacity would be consumed by requests
-  // the ledger counts as shed.
+  // the ledger counts as shed. A twin that already claimed the terminal
+  // leaves this caller without ownership.
   std::lock_guard<std::mutex> lock(env_mu_);
-  if (terminal_tokens_.count(batch.token) != 0) return Status::OK();
-  if (const sim::ExternalCommitOutcome* found =
-          platform_->FindExternalCommit(batch.token)) {
-    *outcome = *found;
-    *owner = TryClaimTerminalLocked(batch.token);
-    *committed = true;
-    return Status::OK();
-  }
+  const sim::ExternalCommitOutcome* found =
+      platform_->FindExternalCommit(batch.token);
+  if (found != nullptr) *outcome = *found;
   *owner = TryClaimTerminalLocked(batch.token);
-  *committed = false;
+  *committed = found != nullptr;
   return Status::OK();
+}
+
+Status AssignmentService::ApplyCommitLocked(
+    uint64_t token, uint32_t worker_index,
+    const std::vector<sim::Request>& requests,
+    const std::vector<int64_t>& assignment, bool log_wal,
+    sim::ExternalCommitOutcome* outcome) {
+  LACB_ASSIGN_OR_RETURN(
+      *outcome, platform_->CommitExternalBatch(requests, assignment, token));
+  if (outcome->duplicate) return Status::OK();
+  const uint64_t day = current_day_.load(std::memory_order_acquire);
+  if (log_wal) {
+    // Journaled atomically with the platform mutation (the caller's
+    // env_mu_ critical section).
+    LACB_RETURN_NOT_OK(JournalLocked([&](persist::WalWriter& wal) {
+      return wal.AppendBatch(token, day, worker_index, requests, assignment);
+    }));
+    commits_applied_.fetch_add(1, std::memory_order_acq_rel);
+    commits_since_ckpt_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  const uint64_t commits =
+      commits_today_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // Mid-day scenario churn lands at commit boundaries: an event with
+  // batch_offset k applies once k batches of its day have committed,
+  // atomically with the commit.
+  Status churn = AdvanceChurnLocked(day, commits);
+  if (!churn.ok()) SetError(churn);
+  store_.CommitAccepted(outcome->accepted);
+  return Status::OK();
+}
+
+void AssignmentService::RecordBatchClose(
+    const MicroBatch& batch, std::chrono::steady_clock::time_point picked_up,
+    double commit_seconds) {
+  batch_counter_->Increment();
+  switch (batch.close_cause) {
+    case BatchCloseCause::kSize:
+      size_close_counter_->Increment();
+      break;
+    case BatchCloseCause::kDeadline:
+      deadline_close_counter_->Increment();
+      break;
+    case BatchCloseCause::kFlush:
+    case BatchCloseCause::kShutdown:
+      flush_close_counter_->Increment();
+      break;
+  }
+  batch_size_hist_->Record(static_cast<double>(batch.requests.size()));
+  if (stage_queue_wait_hist_ == nullptr) return;
+  // Queue wait is per request (arrival → batch close); the batch's
+  // critical-path contribution is the longest waiter. Channel wait and
+  // everything downstream are batch-scoped.
+  double max_queue_wait = 0.0;
+  for (const auto& arrival : batch.arrival_times) {
+    double wait =
+        std::chrono::duration<double>(batch.closed_at - arrival).count();
+    if (wait < 0.0) wait = 0.0;
+    stage_queue_wait_hist_->Record(wait);
+    if (wait > max_queue_wait) max_queue_wait = wait;
+  }
+  stage_queue_wait_total_->Add(max_queue_wait);
+  double channel_wait =
+      std::chrono::duration<double>(picked_up - batch.closed_at).count();
+  if (channel_wait < 0.0) channel_wait = 0.0;
+  stage_channel_wait_hist_->Record(channel_wait);
+  stage_channel_wait_total_->Add(channel_wait);
+  stage_commit_hist_->Record(commit_seconds);
+  stage_commit_total_->Add(commit_seconds);
+}
+
+void AssignmentService::DisposeBatch(const MicroBatch& batch,
+                                     const std::vector<int64_t>& assignment,
+                                     bool committed,
+                                     sim::ExternalCommitOutcome* commit) {
+  if (!committed) {
+    // Retry budget exhausted and the platform confirmed nothing applied:
+    // the whole batch is shed with explicit accounting.
+    DropRequests(batch.token, batch.requests, DropKind::kFailed);
+    RecordIncident("commit_failed");
+    return;
+  }
+  const bool sink = static_cast<bool>(options_.disposition_sink);
+  BatchDisposition disposition;
+  if (sink || recorder_ != nullptr) {
+    disposition = MakeDisposition(
+        batch.token, current_day_.load(std::memory_order_acquire),
+        batch.requests, assignment, commit->appealed);
+  }
+  if (recorder_ != nullptr) {
+    // Terminate each request's flow at the commit; appealed requests keep
+    // their flow alive (they re-enter through carryover and step again at
+    // the next batch close).
+    recorder_->Begin("serve.disposition");
+    for (const std::vector<int64_t>* ids :
+         {&disposition.assigned, &disposition.unmatched}) {
+      for (int64_t id : *ids) {
+        recorder_->FlowEnd("serve.request", RequestFlowId(id));
+      }
+    }
+    recorder_->End("serve.disposition");
+  }
+  if (!commit->appealed.empty()) {
+    appeal_counter_->Increment(commit->appealed.size());
+    if (queue_->closed()) {
+      // Shutdown already retired the batcher: an appeal re-queued now
+      // would never be drained. Drop with accounting instead of leaking
+      // the requests out of the ledger.
+      dropped_counter_->Increment(commit->appealed.size());
+      disposition.dropped.swap(disposition.appealed);
+    } else {
+      batcher_->AddCarryover(std::move(commit->appealed));
+      carryover_gauge_->Set(static_cast<double>(batcher_->carryover_size()));
+    }
+  }
+  assigned_counter_->Increment(commit->accepted.size());
+  unmatched_counter_->Increment(static_cast<uint64_t>(
+      std::count_if(assignment.begin(), assignment.end(),
+                    [](int64_t a) { return a < 0; })));
+  if (sink) options_.disposition_sink(disposition);
+
+  auto now = std::chrono::steady_clock::now();
+  for (const auto& arrival : batch.arrival_times) {
+    double e2e = std::chrono::duration<double>(now - arrival).count();
+    e2e_latency_hist_->Record(e2e);
+    RecordLatencySlo(e2e);
+  }
 }
 
 bool AssignmentService::TryClaimTerminalLocked(uint64_t token) {
@@ -1142,24 +1133,22 @@ void AssignmentService::DropBatchTerminal(const MicroBatch& batch,
     claimed = TryClaimTerminalLocked(batch.token);
   }
   if (!claimed) return;
-  obs::Counter* bucket =
-      kind == DropKind::kFailed ? failed_counter_ : dropped_counter_;
-  if (!batch.requests.empty()) bucket->Increment(batch.requests.size());
-  if (options_.disposition_sink && !batch.requests.empty()) {
-    BatchDisposition d;
-    d.token = batch.token;
-    d.day = current_day_.load(std::memory_order_acquire);
-    std::vector<int64_t>& ids =
-        kind == DropKind::kFailed ? d.failed : d.dropped;
-    ids.reserve(batch.requests.size());
-    for (const sim::Request& r : batch.requests) ids.push_back(r.id);
-    EmitDisposition(d);
-  }
+  DropRequests(batch.token, batch.requests, kind);
   RetireWork(static_cast<int64_t>(batch.from_queue));
 }
 
-void AssignmentService::EmitDisposition(const BatchDisposition& d) {
-  if (options_.disposition_sink) options_.disposition_sink(d);
+void AssignmentService::DropRequests(uint64_t token,
+                                     const std::vector<sim::Request>& requests,
+                                     DropKind kind) {
+  if (requests.empty()) return;
+  const bool failed = kind == DropKind::kFailed;
+  (failed ? failed_counter_ : dropped_counter_)->Increment(requests.size());
+  if (!options_.disposition_sink) return;
+  BatchDisposition d =
+      MakeDisposition(token, current_day_.load(std::memory_order_acquire),
+                      requests, /*assignment=*/{}, /*appealed=*/{});
+  (failed ? d.failed : d.dropped).swap(d.unmatched);
+  options_.disposition_sink(d);
 }
 
 void AssignmentService::RedriveBatch(MicroBatch&& batch) {
@@ -1328,8 +1317,8 @@ obs::HealthReport AssignmentService::Health() const {
   }
   if (report.state == obs::HealthState::kHealthy) {
     std::lock_guard<std::mutex> lock(health_mu_);
-    if (any_incident_ && std::chrono::steady_clock::now() - last_incident_ <=
-                             options_.health_window) {
+    if (any_incident_ &&
+        std::chrono::steady_clock::now() - last_incident_ <= kHealthWindow) {
       report.state = obs::HealthState::kDegraded;
       report.detail =
           "recent fault incidents: " + std::to_string(incident_count_);
@@ -1462,11 +1451,8 @@ Status AssignmentService::BuildCheckpointSections(persist::Checkpoint* out) {
 
 Status AssignmentService::ApplyCheckpoint(const persist::Checkpoint& ckpt,
                                           std::vector<sim::Request>* carryover) {
-  const persist::CheckpointSection* meta = ckpt.Find("meta");
-  if (meta == nullptr) {
-    return Status::InvalidArgument("checkpoint missing meta section");
-  }
-  persist::ByteReader meta_r(meta->payload);
+  LACB_ASSIGN_OR_RETURN(persist::ByteReader meta_r,
+                        SectionReader(ckpt, "meta"));
   LACB_ASSIGN_OR_RETURN(std::string policy, meta_r.Str());
   if (policy != policy_name_) {
     return Status::FailedPrecondition("checkpoint was cut by policy '" +
@@ -1486,38 +1472,21 @@ Status AssignmentService::ApplyCheckpoint(const persist::Checkpoint& ckpt,
         std::to_string(replicas_.size()));
   }
 
-  const persist::CheckpointSection* platform_s = ckpt.Find("platform");
-  if (platform_s == nullptr) {
-    return Status::InvalidArgument("checkpoint missing platform section");
-  }
-  persist::ByteReader platform_r(platform_s->payload);
+  LACB_ASSIGN_OR_RETURN(persist::ByteReader platform_r,
+                        SectionReader(ckpt, "platform"));
   LACB_RETURN_NOT_OK(platform_->LoadState(&platform_r));
-
-  const persist::CheckpointSection* store_s = ckpt.Find("store");
-  if (store_s == nullptr) {
-    return Status::InvalidArgument("checkpoint missing store section");
-  }
-  persist::ByteReader store_r(store_s->payload);
+  LACB_ASSIGN_OR_RETURN(persist::ByteReader store_r,
+                        SectionReader(ckpt, "store"));
   LACB_ASSIGN_OR_RETURN(std::vector<BrokerSlot> slots,
                         ReadBrokerSlots(&store_r));
   LACB_RETURN_NOT_OK(store_.RestoreSlots(slots));
-
   for (size_t i = 0; i < replicas_.size(); ++i) {
-    const persist::CheckpointSection* replica_s =
-        ckpt.Find("replica." + std::to_string(i));
-    if (replica_s == nullptr) {
-      return Status::InvalidArgument("checkpoint missing replica section " +
-                                     std::to_string(i));
-    }
-    persist::ByteReader replica_r(replica_s->payload);
+    LACB_ASSIGN_OR_RETURN(persist::ByteReader replica_r,
+                          SectionReader(ckpt, "replica." + std::to_string(i)));
     LACB_RETURN_NOT_OK(replicas_[i]->LoadState(&replica_r));
   }
-
-  const persist::CheckpointSection* batcher_s = ckpt.Find("batcher");
-  if (batcher_s == nullptr) {
-    return Status::InvalidArgument("checkpoint missing batcher section");
-  }
-  persist::ByteReader batcher_r(batcher_s->payload);
+  LACB_ASSIGN_OR_RETURN(persist::ByteReader batcher_r,
+                        SectionReader(ckpt, "batcher"));
   LACB_ASSIGN_OR_RETURN(*carryover, persist::ReadRequests(&batcher_r));
 
   current_day_.store(day, std::memory_order_release);
@@ -1599,23 +1568,19 @@ Status AssignmentService::ReplayWalRecords(
             DoOpenDay(static_cast<size_t>(record.day), /*log_wal=*/false));
         break;
       case persist::WalRecordType::kBatch: {
-        // Recompute the assignment through the replica so its learned
-        // state (value-function backups, exploration RNG) advances in
-        // lockstep with the pre-crash process — then commit the
-        // *recorded* assignment, which is what was acknowledged.
-        std::vector<double> workloads;
-        store_.SnapshotWorkloads(&workloads);
-        la::Matrix utility =
-            platform_->utility_model().UtilityMatrix(record.requests);
-        policy::BatchInput input;
-        input.requests = &record.requests;
-        input.utility = &utility;
-        input.workloads = &workloads;
-        input.day = current_day_.load(std::memory_order_acquire);
-        input.batch = batch_seq_.fetch_add(1, std::memory_order_acq_rel);
-        size_t worker = record.worker_index % replicas_.size();
+        // Recompute the assignment through the replica, on the input the
+        // live batch built, so its learned state (value-function backups,
+        // exploration RNG) advances in lockstep with the pre-crash process
+        // — then commit the *recorded* assignment, which is what was
+        // acknowledged.
+        BatchStage stage;
+        BuildBatchInput(record.requests, &stage);
         Result<std::vector<int64_t>> recomputed =
-            replicas_[worker]->AssignBatch(input);
+            replicas_[record.worker_index % replicas_.size()]->AssignBatch(
+                stage.input);
+        if (recomputed.ok()) {
+          SanitizeAssignment(stage.active_mask, &*recomputed);
+        }
         if (!recomputed.ok() || *recomputed != record.assignment) {
           // Divergence means the replica's restored state does not
           // reproduce the journaled decision. The recorded assignment
@@ -1623,41 +1588,19 @@ Status AssignmentService::ReplayWalRecords(
           // counter flags the replica drift for the recovery gate.
           persist_divergence_counter_->Increment();
         }
-        LACB_ASSIGN_OR_RETURN(
-            sim::ExternalCommitOutcome outcome,
-            platform_->CommitExternalBatch(record.requests, record.assignment,
-                                           record.token));
-        if (!outcome.duplicate) {
-          store_.CommitAccepted(outcome.accepted);
-          commits_today_.fetch_add(1, std::memory_order_acq_rel);
-          // Replay advances the churn cursor at the same commit
-          // boundaries as the live run; events whose effect is already in
-          // the restored mask re-apply as no-ops (idempotent).
-          ApplyScenarioChurnDueLocked();
+        sim::ExternalCommitOutcome outcome;
+        {
+          std::lock_guard<std::mutex> lock(env_mu_);
+          LACB_RETURN_NOT_OK(ApplyCommitLocked(
+              record.token, record.worker_index, record.requests,
+              record.assignment, /*log_wal=*/false, &outcome));
         }
-        if (options_.record_replay_log) {
-          // Re-derive the batch's disposition for coordinator
-          // reconciliation — same id partition as the live sink.
-          BatchDisposition d;
-          d.token = record.token;
-          d.day = record.day;
-          std::unordered_set<int64_t> appealed_ids;
-          appealed_ids.reserve(outcome.appealed.size());
-          for (const sim::Request& r : outcome.appealed) {
-            appealed_ids.insert(r.id);
-            d.appealed.push_back(r.id);
-          }
-          for (size_t i = 0; i < record.requests.size(); ++i) {
-            const sim::Request& r = record.requests[i];
-            if (appealed_ids.count(r.id) != 0) continue;
-            if (i < record.assignment.size() && record.assignment[i] >= 0) {
-              d.assigned.push_back(r.id);
-            } else {
-              d.unmatched.push_back(r.id);
-            }
-          }
-          replay_log_.push_back(std::move(d));
-        }
+        // Re-derive the batch's disposition for coordinator
+        // reconciliation — the partition the live sink saw.
+        replay_log_.push_back(MakeDisposition(record.token, record.day,
+                                              record.requests,
+                                              record.assignment,
+                                              outcome.appealed));
         *carryover = std::move(outcome.appealed);
         max_token = std::max(max_token, record.token);
         ++*replayed;
@@ -1666,10 +1609,8 @@ Status AssignmentService::ReplayWalRecords(
       case persist::WalRecordType::kDayClose: {
         LACB_ASSIGN_OR_RETURN(sim::DayOutcome outcome,
                               DoCloseDay(/*log_wal=*/false));
-        if (options_.record_replay_log) {
-          replayed_day_closes_.emplace_back(record.day,
-                                            outcome.realized_utility);
-        }
+        replayed_day_closes_.emplace_back(record.day,
+                                          outcome.realized_utility);
         break;
       }
     }

@@ -122,8 +122,6 @@ struct ServeOptions {
   std::chrono::microseconds max_batch_delay{2000};
   /// Assignment worker threads (each gets its own policy replica).
   size_t num_workers = 1;
-  /// Lock stripes of the broker store.
-  size_t num_stripes = 16;
   /// Closed-batch channel bound; 0 = 2 × num_workers. A full channel
   /// stalls the batcher, which backpressures the ingestion queue.
   size_t batch_channel_capacity = 0;
@@ -150,8 +148,6 @@ struct ServeOptions {
   /// deterministic per-(token, attempt) jitter in [0.5, 1].
   std::chrono::microseconds commit_backoff_base{100};
   std::chrono::microseconds commit_backoff_cap{5000};
-  /// Seed of the deterministic retry jitter.
-  uint64_t retry_jitter_seed = 2027;
   /// Worker supervision: a busy worker whose heartbeat is older than this
   /// is stalled (its parked batch is re-driven); a worker that announced
   /// an injected crash is re-driven and restarted. Zero disables the
@@ -159,9 +155,6 @@ struct ServeOptions {
   std::chrono::microseconds stall_timeout{0};
   /// Supervisor heartbeat poll cadence.
   std::chrono::microseconds supervisor_poll{500};
-  /// Health hysteresis: the service reports degraded for this long after
-  /// the latest fault incident (stall, crash, retry, degraded batch).
-  std::chrono::milliseconds health_window{2000};
   /// Deterministic fault-injection plan. Default (all rates zero) installs
   /// no injector: every injection point reduces to a null check and the
   /// serve path is byte-identical to the fault-free build.
@@ -184,8 +177,6 @@ struct ServeOptions {
   /// write). Tests on tmpfs may disable it for speed; real serving keeps
   /// it on — a torn tail is recoverable, a lost sync is not.
   bool wal_fsync = true;
-  /// Checkpoints (and their WALs) retained before pruning.
-  size_t checkpoint_retain = 3;
 
   // --- Cluster hooks (docs/sharding.md) ---
 
@@ -207,11 +198,6 @@ struct ServeOptions {
   /// the new sequence ships.
   std::function<void(uint64_t seq, const std::string& encoded)>
       checkpoint_sink;
-  /// Collect the per-batch dispositions re-derived during WAL replay (and
-  /// the day outcomes of replayed day-closes) for the cluster
-  /// coordinator's post-failover reconciliation; read them back via
-  /// replay_log() / replayed_day_closes(). Off by default.
-  bool record_replay_log = false;
 
   // --- Performance attribution (docs/observability.md) ---
 
@@ -337,7 +323,7 @@ class AssignmentService {
 
   /// \brief Evaluates the health state machine: unhealthy on a fatal
   /// error or when every worker is stalled/crashed; degraded while any
-  /// worker is unavailable or within health_window of the latest fault
+  /// worker is unavailable or within two seconds of the latest fault
   /// incident; healthy otherwise. Thread-safe; also drives the
   /// serve.health_state gauge and the /healthz endpoint.
   obs::HealthReport Health() const;
@@ -365,16 +351,15 @@ class AssignmentService {
   const RestoreInfo& restore_info() const { return restore_info_; }
 
   /// \brief Per-batch dispositions re-derived during the Start()-time WAL
-  /// replay (populated only when ServeOptions::record_replay_log is set).
-  /// The cluster coordinator diffs this against its ledger after a range
-  /// adoption to decide which in-flight requests need a redrive.
+  /// replay. The cluster coordinator diffs this against its ledger after a
+  /// range adoption to decide which in-flight requests need a redrive.
   const std::vector<BatchDisposition>& replay_log() const {
     return replay_log_;
   }
   /// \brief (day, realized utility) of every day-close re-applied during
-  /// WAL replay (same record_replay_log gate) — a coordinator that lost a
-  /// shard between CloseDay and its acknowledgment recovers the day's
-  /// outcome from here instead of re-closing an already-closed day.
+  /// WAL replay — a coordinator that lost a shard between CloseDay and its
+  /// acknowledgment recovers the day's outcome from here instead of
+  /// re-closing an already-closed day.
   const std::vector<std::pair<uint64_t, double>>& replayed_day_closes()
       const {
     return replayed_day_closes_;
@@ -430,7 +415,46 @@ class AssignmentService {
 
   void BatcherLoop();
   void WorkerLoop(size_t worker_index);
-  Status ProcessBatch(size_t worker_index, MicroBatch batch);
+
+  // The batch stages, in order (docs/serving.md, "Batch stages"). WAL
+  // replay runs BuildBatchInput, ApplyCommitLocked and MakeDisposition too.
+  struct BatchStage {  // what a solve reads; `input` points into the rest
+    std::vector<double> workloads;
+    std::vector<uint8_t> active_mask;  // empty unless churn is scripted
+    la::Matrix utility;
+    policy::BatchInput input;
+  };
+  Status ProcessBatch(size_t worker_index, const MicroBatch& batch);
+  /// Snapshots the store's workloads, copies the churn mask under env_mu_
+  /// (the caller must not hold it), steers inactive brokers to saturation,
+  /// builds the utility matrix and draws the next per-day batch index.
+  void BuildBatchInput(const std::vector<sim::Request>& requests,
+                       BatchStage* stage);
+  /// Solves within options_.solve_budget, degrading to the greedy
+  /// capacity-aware fallback on an overrun; returns whether it degraded.
+  Result<bool> SolveBatch(size_t worker_index, const policy::BatchInput& input,
+                          std::vector<int64_t>* assignment);
+  /// Commits to the platform. On the token's first apply: journals the
+  /// batch and counts a live commit (only when `log_wal`: replay re-applies
+  /// journaled batches), advances the churn timeline to the day's new
+  /// commit count and charges the store. Requires env_mu_ held.
+  Status ApplyCommitLocked(uint64_t token, uint32_t worker_index,
+                           const std::vector<sim::Request>& requests,
+                           const std::vector<int64_t>& assignment,
+                           bool log_wal, sim::ExternalCommitOutcome* outcome);
+  /// The owner's batch, close-cause, size and attribution instruments.
+  void RecordBatchClose(const MicroBatch& batch,
+                        std::chrono::steady_clock::time_point picked_up,
+                        double commit_seconds);
+  /// Appeals to carryover, request counters, sink, trace flows and e2e
+  /// latency of an owned batch — or the whole batch failed if uncommitted.
+  void DisposeBatch(const MicroBatch& batch,
+                    const std::vector<int64_t>& assignment, bool committed,
+                    sim::ExternalCommitOutcome* commit);
+  /// Appends one WAL record via `append(wal)` and counts it into the
+  /// persist.wal_* counters. No-op without a WAL. Requires env_mu_ held.
+  template <typename Append>
+  Status JournalLocked(const Append& append);
 
   /// Day-boundary bodies shared by the public API and WAL replay. The
   /// public OpenDay/CloseDay log a WAL record (when persistence is on);
@@ -481,8 +505,10 @@ class AssignmentService {
   /// kind's terminal bucket and retires the batch's queue units.
   enum class DropKind { kFailed, kDroppedAppeal };
   void DropBatchTerminal(const MicroBatch& batch, DropKind kind);
-  /// Invokes options_.disposition_sink when set (no-op otherwise).
-  void EmitDisposition(const BatchDisposition& d);
+  /// Counts `requests` into the kind's terminal bucket and reports them to
+  /// the disposition sink under `token` (0: not batch-scoped).
+  void DropRequests(uint64_t token, const std::vector<sim::Request>& requests,
+                    DropKind kind);
   /// Supervisor callbacks.
   void RedriveBatch(MicroBatch&& batch);
   void RestartWorker(size_t worker_index);
@@ -507,17 +533,16 @@ class AssignmentService {
   /// obs.timeline_dropped_events counter (called on scrape and shutdown).
   void SyncTimelineDrops();
 
-  /// Applies one churn event under env_mu_. `*applied` reports whether it
-  /// changed anything (idempotent: joining an active broker or dropping an
-  /// inactive one is a no-op). Policy replicas are not touched — the cold
-  /// capacity prior of a joiner goes into the broker store only, and
-  /// replicas re-sync at the next BeginDay.
-  Status ApplyChurnEventLocked(const scenario::ChurnEvent& event,
-                               bool* applied);
-  /// Advances the scenario churn cursor: applies every timeline event due
-  /// at or before the current commit count of the open day. Requires
-  /// env_mu_ held; no-op without a scenario.
-  void ApplyScenarioChurnDueLocked();
+  /// Applies one churn event under env_mu_ (idempotent: joining an active
+  /// broker or dropping an inactive one is a no-op). Policy replicas are
+  /// not touched — the cold capacity prior of a joiner goes into the
+  /// broker store only, and replicas re-sync at the next BeginDay.
+  Status ApplyChurnEventLocked(const scenario::ChurnEvent& event);
+  /// Walks the churn timeline: skips events of days before `day` and
+  /// applies those of `day` with batch_offset ≤ `max_offset` (0 at day
+  /// open, the commit count mid-day, the maximum at close). Requires
+  /// env_mu_ held.
+  Status AdvanceChurnLocked(size_t day, uint64_t max_offset);
 
   // --- Immutable after construction ---
   ServeOptions options_;
@@ -559,8 +584,8 @@ class AssignmentService {
   // is failed terminally, modeling a dead process.
   std::atomic<bool> killed_{false};
   RestoreInfo restore_info_;
-  // Replay reconciliation log (populated under record_replay_log; written
-  // only during Start()'s single-threaded restore, read-only afterwards).
+  // Replay reconciliation log (written only during Start()'s
+  // single-threaded restore, read-only afterwards).
   std::vector<BatchDisposition> replay_log_;
   std::vector<std::pair<uint64_t, double>> replayed_day_closes_;
 
@@ -605,7 +630,7 @@ class AssignmentService {
   std::vector<std::thread> worker_threads_;
 
   // Health state machine inputs (fatal errors and worker availability are
-  // read live; incidents decay after options_.health_window).
+  // read live; incidents decay after kHealthWindow).
   mutable std::mutex health_mu_;
   bool any_incident_ = false;
   uint64_t incident_count_ = 0;

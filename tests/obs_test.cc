@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "lacb/obs/obs.h"
+#include "lacb/scenario/spec.h"
 
 namespace lacb::obs {
 namespace {
@@ -413,6 +414,30 @@ TEST(JsonTest, FlagsIntegersADoubleCannotHold) {
     ASSERT_TRUE(v.ok()) << c.text;
     EXPECT_EQ(v->is_exact(), c.exact) << c.text;
   }
+}
+
+TEST(JsonTest, RefusesNumbersItDoesNotConsumeInFull) {
+  for (const char* text : {"1-2", "7e", "3.0.0", "+5", "-", "01", "1.", ".5",
+                           "[1-2]", "{\"a\": 7e}"}) {
+    auto v = JsonValue::Parse(text);
+    ASSERT_FALSE(v.ok()) << text;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  struct Case {
+    const char* text;
+    double value;
+  };
+  for (const Case& c : {Case{"-0", 0.0}, Case{"1e-3", 1e-3},
+                        Case{"2.5E+10", 2.5e10}, Case{"0.25", 0.25},
+                        Case{"-12e2", -1200.0}}) {
+    auto v = JsonValue::Parse(c.text);
+    ASSERT_TRUE(v.ok()) << c.text << ": " << v.status().ToString();
+    EXPECT_EQ(v->as_number(), c.value) << c.text;
+  }
+  EXPECT_TRUE(std::signbit(JsonValue::Parse("-0")->as_number()));
+  auto spec = scenario::ScenarioSpec::Parse("{\"seed\":1-2}");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(JsonTest, ObjectKeepsInsertionOrderAndReplacesDuplicates) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "lacb/persist/checkpoint.h"
 #include "lacb/persist/serializers.h"
 #include "lacb/persist/wal.h"
+#include "lacb/scenario/engine.h"
 #include "lacb/serve/serve.h"
 #include "lacb/sim/platform.h"
 
@@ -430,9 +432,11 @@ sim::DatasetConfig RecoveryConfig() {
   return cfg;
 }
 
-serve::ServeOptions RecoveryServeOptions(const std::string& checkpoint_dir,
-                                         uint64_t kill_after_commits) {
+serve::ServeOptions RecoveryServeOptions(
+    const std::string& checkpoint_dir, uint64_t kill_after_commits,
+    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr) {
   serve::ServeOptions opts;
+  opts.scenario = std::move(churn);
   opts.num_workers = 1;
   opts.max_batch_size = 1u << 20;
   opts.max_batch_delay = std::chrono::seconds(300);
@@ -491,11 +495,13 @@ Status DriveToEnd(serve::AssignmentService* service, size_t start_day,
   return Status::OK();
 }
 
-RunLedger UninterruptedBaseline(const sim::DatasetConfig& cfg) {
+RunLedger UninterruptedBaseline(
+    const sim::DatasetConfig& cfg,
+    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr) {
   obs::ScopedTelemetry telemetry;
   auto service =
       serve::AssignmentService::Create(cfg, RecoveryFactory(cfg),
-                                       RecoveryServeOptions("", 0));
+                                       RecoveryServeOptions("", 0, churn));
   EXPECT_TRUE(service.ok());
   EXPECT_TRUE((*service)->Start().ok());
   RunLedger ledger;
@@ -507,13 +513,14 @@ RunLedger UninterruptedBaseline(const sim::DatasetConfig& cfg) {
 
 // Runs the persisted twin until the injected kill fires; returns the
 // day-0 outcome it observed before dying.
-std::vector<double> RunUntilKilled(const sim::DatasetConfig& cfg,
-                                   const std::string& dir,
-                                   uint64_t kill_after_commits) {
+std::vector<double> RunUntilKilled(
+    const sim::DatasetConfig& cfg, const std::string& dir,
+    uint64_t kill_after_commits,
+    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr) {
   obs::ScopedTelemetry telemetry;
   auto service = serve::AssignmentService::Create(
       cfg, RecoveryFactory(cfg),
-      RecoveryServeOptions(dir, kill_after_commits));
+      RecoveryServeOptions(dir, kill_after_commits, churn));
   EXPECT_TRUE(service.ok());
   EXPECT_TRUE((*service)->Start().ok());
   EXPECT_FALSE((*service)->restore_info().restored);
@@ -687,6 +694,65 @@ TEST(CrashRecoveryTest, WalChainReplayCrossesDayBoundary) {
   EXPECT_DOUBLE_EQ(resumed.daily_utility[1], expected.daily_utility[2]);
   EXPECT_EQ(resumed.platform_state, expected.platform_state);
   EXPECT_EQ(resumed.replica_state, expected.replica_state);
+}
+
+TEST(CrashRecoveryTest, KillAndRecoverUnderChurnIsBitIdentical) {
+  // A broker leaves after day 0's second commit and stays away, so the
+  // batches replayed on day 1 must see it saturated exactly as the live
+  // batches did: LACB-Opt backs its value function up along each
+  // assignment and draws CBS pivots from the replica's RNG, so a replay
+  // fed a different input leaves the replica in a different state.
+  sim::DatasetConfig cfg = RecoveryConfig();
+  for (size_t victim = 0; victim < cfg.num_brokers; ++victim) {
+    SCOPED_TRACE("victim broker " + std::to_string(victim));
+    scenario::ScenarioSpec spec;
+    scenario::ChurnEvent leave;
+    leave.day = 0;
+    leave.batch_offset = 2;
+    leave.broker = victim;
+    leave.kind = scenario::ChurnKind::kLeave;
+    spec.churn.push_back(leave);
+    auto compiled = scenario::CompiledScenario::Compile(spec, cfg);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    auto churn =
+        std::make_shared<const scenario::CompiledScenario>(*compiled);
+
+    RunLedger expected = UninterruptedBaseline(cfg, churn);
+    ASSERT_EQ(expected.daily_utility.size(), 3u);
+    std::string dir = TempDirFor("churn_recover_" + std::to_string(victim));
+    std::vector<double> before_kill = RunUntilKilled(cfg, dir, 27, churn);
+    ASSERT_EQ(before_kill.size(), 1u);
+    EXPECT_DOUBLE_EQ(before_kill[0], expected.daily_utility[0]);
+
+    obs::ScopedTelemetry telemetry;
+    auto service = serve::AssignmentService::Create(
+        cfg, RecoveryFactory(cfg), RecoveryServeOptions(dir, 0, churn));
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE((*service)->Start().ok()) << "warm restart failed";
+    const serve::RestoreInfo& info = (*service)->restore_info();
+    ASSERT_TRUE(info.restored);
+    EXPECT_EQ(info.day, 1u);
+    EXPECT_EQ(info.replayed_batches, 3u);
+
+    RunLedger resumed;
+    Status st = DriveToEnd(service->get(), info.day,
+                           info.batches_committed_today, info.day_open,
+                           &resumed);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(obs::ActiveRegistry()
+                  .GetCounter("persist.replay_divergence")
+                  .value(),
+              0u);
+    (*service)->Shutdown();
+
+    ASSERT_EQ(resumed.daily_utility.size(), 2u);
+    EXPECT_DOUBLE_EQ(resumed.daily_utility[0], expected.daily_utility[1]);
+    EXPECT_DOUBLE_EQ(resumed.daily_utility[1], expected.daily_utility[2]);
+    // Plain comparisons: a failure names the victim without dumping the
+    // serialized state.
+    EXPECT_TRUE(resumed.platform_state == expected.platform_state);
+    EXPECT_TRUE(resumed.replica_state == expected.replica_state);
+  }
 }
 
 TEST(CrashRecoveryTest, DisabledPersistenceKeepsServePathUnchanged) {
