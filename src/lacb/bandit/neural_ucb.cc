@@ -13,14 +13,14 @@ namespace lacb::bandit {
 namespace {
 // UCB widths are dimensionless scores well under 1 for a trained net;
 // finer buckets than the latency default make the histogram readable.
-std::vector<double> WidthBounds() {
-  std::vector<double> bounds;
-  for (double b = 1e-4; b < 2000.0; b *= 4.0) bounds.push_back(b);
+const std::vector<double>& WidthBounds() {
+  static const std::vector<double> bounds = [] {
+    std::vector<double> b;
+    for (double v = 1e-4; v < 2000.0; v *= 4.0) b.push_back(v);
+    return b;
+  }();
   return bounds;
 }
-}  // namespace
-
-namespace {
 
 Status ValidateConfig(const NeuralUcbConfig& config) {
   if (config.arm_values.empty()) {
@@ -50,11 +50,25 @@ nn::MlpConfig NetworkConfig(const NeuralUcbConfig& config) {
   return net;
 }
 
+// Radial-basis features over the arm anchors make non-monotone reward
+// shapes in the workload dimension (the capacity knee's interior peak)
+// linearly separable for the network, while remaining smooth in the
+// arbitrary observed workloads w fed back by Alg. 2. Bandwidth = the median
+// arm spacing.
+double RbfBandwidth(const std::vector<double>& arm_values) {
+  if (arm_values.size() <= 1) return 1.0;
+  std::vector<double> sorted = arm_values;
+  std::sort(sorted.begin(), sorted.end());
+  return std::max(1e-9, sorted[sorted.size() / 2] -
+                            sorted[sorted.size() / 2 - 1]);
+}
+
 }  // namespace
 
 NeuralUcb::NeuralUcb(NeuralUcbConfig config, nn::Mlp net)
     : config_(std::move(config)),
       net_(std::move(net)),
+      rbf_bandwidth_(RbfBandwidth(config_.arm_values)),
       optimizer_(config_.learning_rate),
       train_rng_(config_.seed + 0x5eed) {
   size_t d = net_.num_params();
@@ -85,32 +99,19 @@ Result<NeuralUcb> NeuralUcb::CreateWithNetwork(const NeuralUcbConfig& config,
   return NeuralUcb(config, std::move(network));
 }
 
-Result<Vector> NeuralUcb::NetInput(const Vector& context,
-                                   double value) const {
+Status NeuralUcb::NetInput(const Vector& context, double value,
+                           Vector* in) const {
   if (context.size() != config_.context_dim) {
     return Status::InvalidArgument("NeuralUcb context dimension mismatch");
   }
-  Vector in;
-  in.reserve(context.size() + config_.arm_values.size() + 1);
-  in.insert(in.end(), context.begin(), context.end());
-  // Radial-basis features over the arm anchors make non-monotone reward
-  // shapes in the workload dimension (the capacity knee's interior peak)
-  // linearly separable for the network, while remaining smooth in the
-  // arbitrary observed workloads w fed back by Alg. 2. Bandwidth = the
-  // median arm spacing.
-  double bw = 1.0;
-  if (config_.arm_values.size() > 1) {
-    std::vector<double> sorted = config_.arm_values;
-    std::sort(sorted.begin(), sorted.end());
-    bw = std::max(1e-9, sorted[sorted.size() / 2] -
-                            sorted[sorted.size() / 2 - 1]);
-  }
+  in->reserve(context.size() + config_.arm_values.size() + 1);
+  in->assign(context.begin(), context.end());
   for (double anchor : config_.arm_values) {
-    double z = (value - anchor) / bw;
-    in.push_back(std::exp(-0.5 * z * z));
+    double z = (value - anchor) / rbf_bandwidth_;
+    in->push_back(std::exp(-0.5 * z * z));
   }
-  in.push_back(value * config_.value_scale);
-  return in;
+  in->push_back(value * config_.value_scale);
+  return Status::OK();
 }
 
 Result<double> NeuralUcb::Width2(const Vector& grad) const {
@@ -125,43 +126,57 @@ Status NeuralUcb::CovarianceUpdate(const Vector& grad) {
 
 Result<double> NeuralUcb::UcbScore(const Vector& context,
                                    double value) const {
-  LACB_ASSIGN_OR_RETURN(Vector in, NetInput(context, value));
-  LACB_ASSIGN_OR_RETURN(double mean, net_.Forward(in));
-  LACB_ASSIGN_OR_RETURN(Vector grad, net_.ParamGradient(in));
-  LACB_ASSIGN_OR_RETURN(double width2, Width2(grad));
-  return mean + config_.alpha * std::sqrt(width2);
+  std::vector<Vector> in(1);
+  LACB_RETURN_NOT_OK(NetInput(context, value, &in[0]));
+  Vector mean;
+  std::vector<Vector> grad;
+  LACB_RETURN_NOT_OK(net_.OutputGradients(in, &mean, &grad));
+  LACB_ASSIGN_OR_RETURN(double width2, Width2(grad[0]));
+  return mean[0] + config_.alpha * std::sqrt(width2);
 }
 
 Result<double> NeuralUcb::SelectValue(const Vector& context) {
   LACB_TRACE_SPAN("bandit_select");
   // Alg. 1 lines 6-9: pick the arm with the maximal upper confidence bound,
-  // then update D with the chosen arm's gradient (line 12).
-  double best_value = config_.arm_values.front();
+  // then update D with the chosen arm's gradient (line 12). One batched
+  // forward+backward scores every arm; the buffers are reused across calls.
+  thread_local std::vector<Vector> inputs;
+  thread_local Vector means;
+  thread_local std::vector<Vector> grads;
+  const std::vector<double>& arms = config_.arm_values;
+  inputs.resize(arms.size());
+  for (size_t a = 0; a < arms.size(); ++a) {
+    LACB_RETURN_NOT_OK(NetInput(context, arms[a], &inputs[a]));
+  }
+  LACB_RETURN_NOT_OK(net_.OutputGradients(inputs, &means, &grads));
+  size_t best = 0;
   double best_score = -std::numeric_limits<double>::infinity();
-  for (double v : config_.arm_values) {
-    LACB_ASSIGN_OR_RETURN(double score, UcbScore(context, v));
+  double best_width2 = 0.0;
+  for (size_t a = 0; a < arms.size(); ++a) {
+    LACB_ASSIGN_OR_RETURN(double width2, Width2(grads[a]));
+    if (a == 0) best_width2 = width2;
+    double score = means[a] + config_.alpha * std::sqrt(width2);
     if (score > best_score) {
       best_score = score;
-      best_value = v;
+      best = a;
+      best_width2 = width2;
     }
   }
-  LACB_ASSIGN_OR_RETURN(Vector in, NetInput(context, best_value));
-  LACB_ASSIGN_OR_RETURN(Vector grad, net_.ParamGradient(in));
   // The chosen arm's confidence width α·√(gᵀD⁻¹g) before folding g into D:
   // the exploration-health series (wide = still exploring, narrow =
   // exploiting) every future perf PR compares against.
-  LACB_ASSIGN_OR_RETURN(double width2, Width2(grad));
   obs::MetricRegistry& registry = obs::ActiveRegistry();
   registry.GetCounter("bandit.neural_ucb.pulls").Increment();
   registry.GetHistogram("bandit.neural_ucb.ucb_width", WidthBounds())
-      .Record(config_.alpha * std::sqrt(std::max(0.0, width2)));
-  LACB_RETURN_NOT_OK(CovarianceUpdate(grad));
-  return best_value;
+      .Record(config_.alpha * std::sqrt(std::max(0.0, best_width2)));
+  LACB_RETURN_NOT_OK(CovarianceUpdate(grads[best]));
+  return arms[best];
 }
 
 Result<double> NeuralUcb::PredictReward(const Vector& context,
                                         double value) const {
-  LACB_ASSIGN_OR_RETURN(Vector in, NetInput(context, value));
+  Vector in;
+  LACB_RETURN_NOT_OK(NetInput(context, value, &in));
   return net_.Forward(in);
 }
 
@@ -170,7 +185,8 @@ Status NeuralUcb::Observe(const Vector& context, double value,
   LACB_TRACE_SPAN("bandit_update");
   obs::ActiveRegistry().GetCounter("bandit.neural_ucb.observations")
       .Increment();
-  LACB_ASSIGN_OR_RETURN(Vector in, NetInput(context, value));
+  Vector in;
+  LACB_RETURN_NOT_OK(NetInput(context, value, &in));
   buffer_.push_back(nn::Example{std::move(in), reward});
   if (buffer_.size() >= config_.batch_size) {
     LACB_RETURN_NOT_OK(FlushTraining());
@@ -220,18 +236,18 @@ Status NeuralUcb::FlushTraining() {
   }
   buffer_.clear();
   // Minibatch SGD over the replay; the L2 term of Eq. 6 applies per step.
+  // The minibatch is a list of replay rows; the buffers are reused.
   size_t mb = std::max<size_t>(1, config_.minibatch_size);
-  std::vector<nn::Example> batch;
+  thread_local std::vector<size_t> rows;
+  thread_local Vector grad;
   for (size_t e = 0; e < config_.train_epochs; ++e) {
-    batch.clear();
+    rows.clear();
     size_t take = std::min(mb, replay_.size());
     for (size_t i = 0; i < take; ++i) {
-      size_t j = static_cast<size_t>(train_rng_.UniformInt(
-          0, static_cast<int64_t>(replay_.size()) - 1));
-      batch.push_back(replay_[j]);
+      rows.push_back(static_cast<size_t>(train_rng_.UniformInt(
+          0, static_cast<int64_t>(replay_.size()) - 1)));
     }
-    LACB_ASSIGN_OR_RETURN(Vector grad,
-                          net_.LossGradient(batch, config_.lambda));
+    LACB_RETURN_NOT_OK(net_.LossGradient(replay_, rows, config_.lambda, &grad));
     // LossGradient sums over the batch; normalize so the step size is
     // independent of the minibatch size.
     double inv = 1.0 / static_cast<double>(take);

@@ -116,12 +116,14 @@ class NeuralUcb : public ContextualBandit {
  private:
   NeuralUcb(NeuralUcbConfig config, nn::Mlp net);
 
-  Result<Vector> NetInput(const Vector& context, double value) const;
+  // Writes the network input for (context, value) into *in.
+  Status NetInput(const Vector& context, double value, Vector* in) const;
   Result<double> Width2(const Vector& grad) const;
   Status CovarianceUpdate(const Vector& grad);
 
   NeuralUcbConfig config_;
   nn::Mlp net_;
+  double rbf_bandwidth_;  // of NetInput's arm-anchor features
   // Exactly one of the two is engaged, per config_.covariance.
   std::unique_ptr<la::ShermanMorrisonInverse> full_cov_;
   std::unique_ptr<la::DiagonalInverse> diag_cov_;

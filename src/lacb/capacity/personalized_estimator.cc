@@ -40,14 +40,8 @@ Result<double> PersonalizedCapacityEstimator::Estimate(
   return base_->SelectValue(context);
 }
 
-Status PersonalizedCapacityEstimator::MaybePersonalize(size_t broker) {
-  if (personal_[broker] != nullptr) return Status::OK();
-  if (observations_[broker] < config_.personalization_threshold) {
-    return Status::OK();
-  }
-  if (base_->training_passes() < config_.base_training_passes) {
-    return Status::OK();
-  }
+Result<bandit::NeuralUcb> PersonalizedCapacityEstimator::TransferBase(
+    size_t broker) const {
   // Layer transfer: copy the base network, freeze all but the last layer.
   nn::Mlp net = base_->network();
   for (size_t l = 0; l + 1 < net.num_layers(); ++l) {
@@ -60,9 +54,18 @@ Status PersonalizedCapacityEstimator::MaybePersonalize(size_t broker) {
   cfg.batch_size = std::max<size_t>(1, config_.personal_batch_size);
   cfg.learning_rate = config_.personal_learning_rate;
   cfg.train_epochs = config_.personal_train_epochs;
-  LACB_ASSIGN_OR_RETURN(
-      bandit::NeuralUcb personal,
-      bandit::NeuralUcb::CreateWithNetwork(cfg, std::move(net)));
+  return bandit::NeuralUcb::CreateWithNetwork(cfg, std::move(net));
+}
+
+Status PersonalizedCapacityEstimator::MaybePersonalize(size_t broker) {
+  if (personal_[broker] != nullptr) return Status::OK();
+  if (observations_[broker] < config_.personalization_threshold) {
+    return Status::OK();
+  }
+  if (base_->training_passes() < config_.base_training_passes) {
+    return Status::OK();
+  }
+  LACB_ASSIGN_OR_RETURN(bandit::NeuralUcb personal, TransferBase(broker));
   // The base's covariance comes along with its network: exploration
   // confidence is part of what the transfer carries over.
   LACB_RETURN_NOT_OK(personal.CopyCovariance(*base_));
@@ -156,20 +159,9 @@ Status PersonalizedCapacityEstimator::LoadState(persist::ByteReader* r) {
       personal_[broker] = nullptr;
       continue;
     }
-    // Rebuild the shell with the exact MaybePersonalize recipe (same
-    // config derivation), then overwrite all of its mutable state.
-    nn::Mlp net = base_->network();
-    for (size_t l = 0; l + 1 < net.num_layers(); ++l) {
-      LACB_RETURN_NOT_OK(net.SetLayerTrainable(l, false));
-    }
-    bandit::NeuralUcbConfig cfg = config_.bandit;
-    cfg.seed = config_.bandit.seed + 17 * (broker + 1);
-    cfg.batch_size = std::max<size_t>(1, config_.personal_batch_size);
-    cfg.learning_rate = config_.personal_learning_rate;
-    cfg.train_epochs = config_.personal_train_epochs;
-    LACB_ASSIGN_OR_RETURN(
-        bandit::NeuralUcb personal,
-        bandit::NeuralUcb::CreateWithNetwork(cfg, std::move(net)));
+    // Rebuild the shell with the live transfer recipe, then overwrite all
+    // of its mutable state.
+    LACB_ASSIGN_OR_RETURN(bandit::NeuralUcb personal, TransferBase(broker));
     LACB_RETURN_NOT_OK(personal.LoadState(r));
     personal_[broker] =
         std::make_unique<bandit::NeuralUcb>(std::move(personal));

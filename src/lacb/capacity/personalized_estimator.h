@@ -69,9 +69,9 @@ class PersonalizedCapacityEstimator {
   const bandit::NeuralUcb& base() const { return *base_; }
 
   /// \brief Serializes the full pool: base bandit, per-broker observation
-  /// counts + history, and every personal bandit. LoadState reconstructs
-  /// personal bandit shells with the exact MaybePersonalize recipe before
-  /// overwriting their state, so a restored pool is bit-identical.
+  /// counts + history, and every personal bandit. LoadState rebuilds each
+  /// personal bandit with the live transfer recipe (TransferBase) before
+  /// overwriting its state, so a restored pool is bit-identical.
   Status SaveState(persist::ByteWriter* w) const;
   Status LoadState(persist::ByteReader* r);
 
@@ -80,6 +80,10 @@ class PersonalizedCapacityEstimator {
                                 std::unique_ptr<bandit::NeuralUcb> base,
                                 size_t num_brokers);
 
+  /// Layer transfer (Sec. V-D): broker's personal bandit around a copy of
+  /// the base network with every layer but the last frozen, configured for
+  /// fine-tuning. The one recipe both a live transfer and a restore use.
+  Result<bandit::NeuralUcb> TransferBase(size_t broker) const;
   Status MaybePersonalize(size_t broker);
 
   struct HistoryEntry {

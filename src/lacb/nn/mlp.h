@@ -7,6 +7,27 @@
 // parameters are stored flattened, which makes optimizers, covariance
 // matrices over gradients, and layer freezing (Sec. V-D layer transfer)
 // straightforward.
+//
+// Every pass runs one batched kernel: inputs are processed in chunks, a
+// layer at a time for the whole chunk, with SIMD lanes across inputs for
+// the forward and delta passes and register tiles across weights for the
+// gradient. It never reorders a floating-point sum, so every result is
+// bit-identical to evaluating the inputs one at a time:
+//
+//   - pre-activation  z_i = b_i + Σ_j w_ij·a_j, summed left to right in j
+//     starting from the bias (from 0.0 without biases);
+//   - delta           δ'_j = Σ_i δ_i·w_ij in i order from 0.0, skipping
+//     δ_i = 0, then zeroed where the layer below has z_j ≤ 0;
+//   - weight gradient ∂w_ij = Σ_e δ_i(e)·a_j(e) and bias ∂b_i = Σ_e δ_i(e),
+//     each summed from 0.0 over the examples e in the order given (a
+//     minibatch's row order), skipping δ_i(e) = 0;
+//   - loss            the output gradient of example e is 2·(S(x_e) − t_e);
+//     the L2 term 2·l2·θ is added after the example sums.
+//
+// No FMA contraction or reassociation is involved: the kernel uses plain
+// 2-lane double vectors (SSE2 on x86-64) and the build keeps
+// -ffp-contract=off (ISO C++ mode). Scratch lives in a thread-local
+// workspace, so copies of a network share nothing and cost nothing extra.
 
 #ifndef LACB_NN_MLP_H_
 #define LACB_NN_MLP_H_
@@ -58,7 +79,21 @@ class Mlp {
   /// in the same layout as params().
   Result<Vector> ParamGradient(const Vector& x) const;
 
-  /// \brief Gradient of the batch loss Σ (S(x)−t)² + l2·‖θ‖² (paper Eq. 6).
+  /// \brief Forward and parameter gradient of several inputs in one batched
+  /// pass: (*outputs)[k] = S(inputs[k]) and (*grads)[k] = ∇_θ S(inputs[k]),
+  /// bit-identical to Forward and ParamGradient one input at a time. The
+  /// caller's buffers are reused (no allocation once they are sized).
+  Status OutputGradients(const std::vector<Vector>& inputs, Vector* outputs,
+                         std::vector<Vector>* grads) const;
+
+  /// \brief Gradient of the minibatch loss Σ_k (S(x)−t)² + l2·‖θ‖² (paper
+  /// Eq. 6) over the examples data[rows[0]], data[rows[1]], … (repeats
+  /// allowed), summed in row order and written into *grad.
+  Status LossGradient(const std::vector<Example>& data,
+                      const std::vector<size_t>& rows, double l2,
+                      Vector* grad) const;
+
+  /// \brief The same over every example of `batch`, in order.
   Result<Vector> LossGradient(const std::vector<Example>& batch,
                               double l2) const;
 
@@ -75,12 +110,10 @@ class Mlp {
   /// \brief Per-layer trainable flags (checkpoint serialization).
   const std::vector<bool>& trainable_mask() const { return layer_trainable_; }
 
-  /// \brief In-place params ← params − grad ⊙ trainable_mask (the caller
-  /// scales grad by the learning rate; see optimizer.h for stateful rules).
+  /// \brief In-place params ← params − grad on every trainable layer (the
+  /// caller scales grad by the learning rate; see optimizer.h for stateful
+  /// rules).
   Status ApplyGradient(const Vector& grad);
-
-  /// \brief Zeroes gradient entries of frozen layers (used by optimizers).
-  void MaskFrozen(Vector* grad) const;
 
   /// \brief Parameter index range [begin, end) of a layer's weights+biases.
   struct LayerSpan {
@@ -100,17 +133,25 @@ class Mlp {
   size_t in_dim(size_t layer) const;
   size_t out_dim(size_t layer) const;
 
-  struct ForwardCache {
-    // activations[0] = x; activations[l+1] = post-activation of layer l.
-    std::vector<Vector> activations;
-    // pre[l] = pre-activation of layer l.
-    std::vector<Vector> pre;
-    double output = 0.0;
-  };
-  Status ForwardWithCache(const Vector& x, ForwardCache* cache) const;
-  // Backprop of d(output); writes flattened gradient scaled by out_grad.
-  void AccumulateParamGradient(const ForwardCache& cache, double out_grad,
-                               Vector* grad) const;
+  // Batched kernel over a thread-local Workspace (mlp.cc). A pass covers at
+  // most kChunk inputs; `inputs[e]` points at input_dim() doubles.
+  struct Workspace;
+  static constexpr size_t kChunk = 32;
+  Workspace& PrepareWorkspace(size_t n) const;
+  void ForwardChunk(const double* const* inputs, size_t n,
+                    Workspace* ws) const;
+  double ChunkOutput(const Workspace& ws, size_t e) const;
+  // Backpropagates the output gradients set with SetOutputGradient to every
+  // layer's pre-activation and lays the activations out per example.
+  void SetOutputGradient(Workspace* ws, size_t e, double g) const;
+  void BackwardChunk(Workspace* ws) const;
+  // Adds the parameter gradients of chunk examples [begin, end), in order,
+  // to the workspace's gradient accumulator; ZeroGradient and
+  // ScatterGradient clear it and copy it out in params() layout.
+  void AccumulateGradient(Workspace* ws, size_t begin, size_t end) const;
+  void ZeroGradient(Workspace* ws) const;
+  void ScatterGradient(const Workspace& ws, Vector* grad) const;
+  Status CheckInput(const Vector& x) const;
 
   std::vector<size_t> layer_sizes_;  // input + hidden widths (output is 1)
   bool use_bias_;

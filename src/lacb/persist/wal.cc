@@ -98,14 +98,49 @@ Status WalWriter::AppendDayClose(uint64_t day) {
 Status WalWriter::AppendBatch(uint64_t token, uint64_t day,
                               uint32_t worker_index,
                               const std::vector<sim::Request>& requests,
-                              const std::vector<int64_t>& assignment) {
+                              const std::vector<int64_t>& assignment,
+                              bool solved) {
   ByteWriter w;
   w.U64(token);
   w.U64(day);
   w.U32(worker_index);
   WriteRequests(&w, requests);
   w.VecI64(assignment);
+  w.Bool(solved);
   return AppendRecord(WalRecordType::kBatch, w.bytes());
+}
+
+Result<WalRecord> DecodeWalRecord(std::string_view body) {
+  if (body.empty()) return Status::InvalidArgument("empty WAL record");
+  ByteReader payload(body.data() + 1, body.size() - 1);
+  WalRecord rec;
+  rec.type = static_cast<WalRecordType>(static_cast<uint8_t>(body[0]));
+  switch (rec.type) {
+    case WalRecordType::kDayOpen:
+    case WalRecordType::kDayClose: {
+      LACB_ASSIGN_OR_RETURN(rec.day, payload.U64());
+      break;
+    }
+    case WalRecordType::kBatch: {
+      LACB_ASSIGN_OR_RETURN(rec.token, payload.U64());
+      LACB_ASSIGN_OR_RETURN(rec.day, payload.U64());
+      LACB_ASSIGN_OR_RETURN(rec.worker_index, payload.U32());
+      LACB_ASSIGN_OR_RETURN(rec.requests, ReadRequests(&payload));
+      LACB_ASSIGN_OR_RETURN(rec.assignment, payload.VecI64());
+      LACB_ASSIGN_OR_RETURN(uint8_t solved, payload.U8());
+      if (solved > 1) {
+        return Status::InvalidArgument("WAL batch record: bad solved flag");
+      }
+      rec.solved = solved == 1;
+      break;
+    }
+    default:
+      return Status::InvalidArgument("unknown WAL record type");
+  }
+  if (payload.remaining() != 0) {
+    return Status::InvalidArgument("WAL record has trailing bytes");
+  }
+  return rec;
 }
 
 Result<WalRecovery> RecoverWal(const std::string& path) {
@@ -147,56 +182,14 @@ Result<WalRecovery> RecoverWal(const std::string& path) {
       out.truncated_torn_tail = true;
       break;
     }
-    ByteReader payload(body + 1, *len - 1);
-    WalRecord rec;
-    rec.type = static_cast<WalRecordType>(static_cast<uint8_t>(body[0]));
-    bool parsed = true;
-    switch (rec.type) {
-      case WalRecordType::kDayOpen:
-      case WalRecordType::kDayClose: {
-        Result<uint64_t> day = payload.U64();
-        if (!day.ok()) {
-          parsed = false;
-          break;
-        }
-        rec.day = *day;
-        break;
-      }
-      case WalRecordType::kBatch: {
-        Result<uint64_t> token = payload.U64();
-        Result<uint64_t> day = token.ok() ? payload.U64() : token;
-        Result<uint32_t> worker =
-            day.ok() ? payload.U32() : Result<uint32_t>(day.status());
-        if (!worker.ok()) {
-          parsed = false;
-          break;
-        }
-        rec.token = *token;
-        rec.day = *day;
-        rec.worker_index = *worker;
-        Result<std::vector<sim::Request>> reqs = ReadRequests(&payload);
-        Result<std::vector<int64_t>> assign =
-            reqs.ok() ? payload.VecI64()
-                      : Result<std::vector<int64_t>>(reqs.status());
-        if (!assign.ok()) {
-          parsed = false;
-          break;
-        }
-        rec.requests = std::move(*reqs);
-        rec.assignment = std::move(*assign);
-        break;
-      }
-      default:
-        parsed = false;
-        break;
-    }
-    // A record whose CRC matched but whose payload fails to parse means a
-    // writer bug or unknown future type; treat as end-of-valid-log too.
-    if (!parsed) {
+    // A record whose CRC matched but whose body does not decode means a
+    // writer bug or a foreign format; treat it as end-of-valid-log too.
+    Result<WalRecord> rec = DecodeWalRecord(std::string_view(body, *len));
+    if (!rec.ok()) {
       out.truncated_torn_tail = true;
       break;
     }
-    out.records.push_back(std::move(rec));
+    out.records.push_back(std::move(*rec));
     pos += 4 + *len + 4;
     out.valid_bytes = pos;
   }

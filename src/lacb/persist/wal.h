@@ -31,12 +31,12 @@
 namespace lacb::persist {
 
 inline constexpr char kWalMagic[8] = {'L', 'A', 'C', 'B', 'W', 'A', 'L', '0'};
-inline constexpr uint32_t kWalVersion = 1;
+inline constexpr uint32_t kWalVersion = 2;
 
 enum class WalRecordType : uint8_t {
   kDayOpen = 1,   // payload: u64 day
   kBatch = 2,     // payload: u64 token, u64 day, u32 worker_index,
-                  //          requests, assignment (VecI64)
+                  //          requests, assignment (VecI64), bool solved
   kDayClose = 3,  // payload: u64 day
 };
 
@@ -48,7 +48,15 @@ struct WalRecord {
   uint32_t worker_index = 0;
   std::vector<sim::Request> requests;
   std::vector<int64_t> assignment;
+  // False when the batch's policy solve was skipped (an injected deadline
+  // abort committed the greedy fallback): replay must not run it either.
+  bool solved = true;
 };
+
+/// \brief Decodes one record body (type byte + payload, the CRC-covered
+/// bytes). A truncated payload, trailing bytes, an unknown type or a flag
+/// byte other than 0/1 is refused as a Status.
+Result<WalRecord> DecodeWalRecord(std::string_view body);
 
 /// \brief Append-only WAL writer. Not thread-safe; the serving layer
 /// serializes appends under its environment mutex.
@@ -67,7 +75,8 @@ class WalWriter {
   Status AppendDayClose(uint64_t day);
   Status AppendBatch(uint64_t token, uint64_t day, uint32_t worker_index,
                      const std::vector<sim::Request>& requests,
-                     const std::vector<int64_t>& assignment);
+                     const std::vector<int64_t>& assignment,
+                     bool solved = true);
 
   /// \brief Observer of every durable record, invoked after the local
   /// write (and fsync, when enabled) succeeds with the exact framed bytes
@@ -106,8 +115,9 @@ struct WalRecovery {
 };
 
 /// \brief Reads a WAL, validating CRCs record by record; stops at the
-/// first invalid record (torn tail) and reports how much was valid. A
-/// missing file is NotFound; a bad header is InvalidArgument.
+/// first invalid record — a CRC mismatch (torn tail) or a body
+/// DecodeWalRecord refuses — and reports how much was valid. A missing file
+/// is NotFound; a bad header or version is InvalidArgument.
 Result<WalRecovery> RecoverWal(const std::string& path);
 
 }  // namespace lacb::persist

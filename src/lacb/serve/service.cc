@@ -793,7 +793,7 @@ Status AssignmentService::ProcessBatch(size_t worker_index,
   BatchStage stage;
   BuildBatchInput(batch.requests, &stage);
   std::vector<int64_t> assignment;
-  LACB_ASSIGN_OR_RETURN(const bool degraded,
+  LACB_ASSIGN_OR_RETURN(const SolveOutcome solve,
                         SolveBatch(worker_index, stage.input, &assignment));
   // Sanitize before the commit (and before the WAL append inside it, so a
   // replayed batch re-commits the already-sanitized assignment): an edge
@@ -808,7 +808,8 @@ Status AssignmentService::ProcessBatch(size_t worker_index,
   bool owner = false;
   bool committed = false;
   sim::ExternalCommitOutcome commit;
-  LACB_RETURN_NOT_OK(CommitWithRetry(worker_index, batch, assignment, &owner,
+  LACB_RETURN_NOT_OK(CommitWithRetry(worker_index, batch, assignment,
+                                     solve != SolveOutcome::kSkipped, &owner,
                                      &committed, &commit));
   if (!owner) {
     // A twin claimed the terminal first: it did (or will do) the
@@ -819,7 +820,7 @@ Status AssignmentService::ProcessBatch(size_t worker_index,
   // no matter how many twins raced.
   RecordBatchClose(batch, picked_up, attribute ? stage_sw.ElapsedSeconds() : 0);
   if (attribute) stage_sw.Restart();  // the disposition stage starts here
-  if (degraded) {
+  if (solve != SolveOutcome::kSolved) {
     degraded_counter_->Increment();
     RecordIncident("degraded_batch");
   }
@@ -877,9 +878,9 @@ void AssignmentService::BuildBatchInput(
   stage->input.collect_solve_stats = options_.solver_introspection;
 }
 
-Result<bool> AssignmentService::SolveBatch(size_t worker_index,
-                                           const policy::BatchInput& input,
-                                           std::vector<int64_t>* assignment) {
+Result<AssignmentService::SolveOutcome> AssignmentService::SolveBatch(
+    size_t worker_index, const policy::BatchInput& input,
+    std::vector<int64_t>* assignment) {
   // An injected overrun models a deadline abort: the real solve is skipped
   // outright (replica state untouched, no RNG consumed — what a true
   // cancellation would do). A measured overrun is detected after the fact,
@@ -888,9 +889,11 @@ Result<bool> AssignmentService::SolveBatch(size_t worker_index,
   // utility loss instead of a missed batch.
   const bool budgeted = options_.solve_budget.count() > 0;
   FaultDecision solve_fault = DecideAt(injector_.get(), FaultSite::kSolve);
-  bool degraded =
-      budgeted && solve_fault.action == FaultAction::kOverBudgetSolve;
-  if (!degraded) {
+  SolveOutcome outcome =
+      budgeted && solve_fault.action == FaultAction::kOverBudgetSolve
+          ? SolveOutcome::kSkipped
+          : SolveOutcome::kSolved;
+  if (outcome == SolveOutcome::kSolved) {
     LACB_TRACE_SPAN("serve.assign");
     Stopwatch sw;
     LACB_ASSIGN_OR_RETURN(*assignment,
@@ -912,23 +915,23 @@ Result<bool> AssignmentService::SolveBatch(size_t worker_index,
         RecordSolveStats(*ss);
       }
     }
-    degraded =
-        budgeted &&
-        elapsed > std::chrono::duration<double>(options_.solve_budget).count();
+    const double budget_s =
+        std::chrono::duration<double>(options_.solve_budget).count();
+    if (budgeted && elapsed > budget_s) outcome = SolveOutcome::kOverran;
   }
-  if (degraded) {
+  if (outcome != SolveOutcome::kSolved) {
     LACB_TRACE_SPAN("serve.assign_degraded");
     *assignment = GreedyCapacityAssign(
         input, store_.ResidualCapacities(
                    std::numeric_limits<double>::infinity()));
   }
-  return degraded;
+  return outcome;
 }
 
 Status AssignmentService::CommitWithRetry(
     size_t worker_index, const MicroBatch& batch,
-    const std::vector<int64_t>& assignment, bool* owner, bool* committed,
-    sim::ExternalCommitOutcome* outcome) {
+    const std::vector<int64_t>& assignment, bool solved, bool* owner,
+    bool* committed, sim::ExternalCommitOutcome* outcome) {
   *owner = false;
   *committed = false;
   const size_t max_attempts = std::max<size_t>(1, options_.commit_max_attempts);
@@ -951,7 +954,7 @@ Status AssignmentService::CommitWithRetry(
         // lost *ack*: the commit applied, so it is durable state.
         LACB_RETURN_NOT_OK(ApplyCommitLocked(
             batch.token, static_cast<uint32_t>(worker_index), batch.requests,
-            assignment, /*log_wal=*/true, outcome));
+            assignment, solved, /*log_wal=*/true, outcome));
         if (fault.action != FaultAction::kTransientErrorAfterApply) {
           *owner = TryClaimTerminalLocked(batch.token);
           *committed = true;
@@ -998,7 +1001,7 @@ Status AssignmentService::CommitWithRetry(
 Status AssignmentService::ApplyCommitLocked(
     uint64_t token, uint32_t worker_index,
     const std::vector<sim::Request>& requests,
-    const std::vector<int64_t>& assignment, bool log_wal,
+    const std::vector<int64_t>& assignment, bool solved, bool log_wal,
     sim::ExternalCommitOutcome* outcome) {
   LACB_ASSIGN_OR_RETURN(
       *outcome, platform_->CommitExternalBatch(requests, assignment, token));
@@ -1008,7 +1011,8 @@ Status AssignmentService::ApplyCommitLocked(
     // Journaled atomically with the platform mutation (the caller's
     // env_mu_ critical section).
     LACB_RETURN_NOT_OK(JournalLocked([&](persist::WalWriter& wal) {
-      return wal.AppendBatch(token, day, worker_index, requests, assignment);
+      return wal.AppendBatch(token, day, worker_index, requests, assignment,
+                             solved);
     }));
     commits_applied_.fetch_add(1, std::memory_order_acq_rel);
     commits_since_ckpt_.fetch_add(1, std::memory_order_acq_rel);
@@ -1572,28 +1576,32 @@ Status AssignmentService::ReplayWalRecords(
         // live batch built, so its learned state (value-function backups,
         // exploration RNG) advances in lockstep with the pre-crash process
         // — then commit the *recorded* assignment, which is what was
-        // acknowledged.
+        // acknowledged. A batch whose live solve was skipped is not solved
+        // here either; building its input still advances the batch index.
         BatchStage stage;
         BuildBatchInput(record.requests, &stage);
-        Result<std::vector<int64_t>> recomputed =
-            replicas_[record.worker_index % replicas_.size()]->AssignBatch(
-                stage.input);
-        if (recomputed.ok()) {
-          SanitizeAssignment(stage.active_mask, &*recomputed);
-        }
-        if (!recomputed.ok() || *recomputed != record.assignment) {
-          // Divergence means the replica's restored state does not
-          // reproduce the journaled decision. The recorded assignment
-          // still commits (it is the acknowledged truth), but the
-          // counter flags the replica drift for the recovery gate.
-          persist_divergence_counter_->Increment();
+        if (record.solved) {
+          Result<std::vector<int64_t>> recomputed =
+              replicas_[record.worker_index % replicas_.size()]->AssignBatch(
+                  stage.input);
+          if (recomputed.ok()) {
+            SanitizeAssignment(stage.active_mask, &*recomputed);
+          }
+          if (!recomputed.ok() || *recomputed != record.assignment) {
+            // Divergence means the replica's restored state does not
+            // reproduce the journaled decision. The recorded assignment
+            // still commits (it is the acknowledged truth), but the
+            // counter flags the replica drift for the recovery gate.
+            persist_divergence_counter_->Increment();
+          }
         }
         sim::ExternalCommitOutcome outcome;
         {
           std::lock_guard<std::mutex> lock(env_mu_);
           LACB_RETURN_NOT_OK(ApplyCommitLocked(
               record.token, record.worker_index, record.requests,
-              record.assignment, /*log_wal=*/false, &outcome));
+              record.assignment, record.solved, /*log_wal=*/false,
+              &outcome));
         }
         // Re-derive the batch's disposition for coordinator
         // reconciliation — the partition the live sink saw.

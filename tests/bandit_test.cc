@@ -3,6 +3,7 @@
 // synthetic environments with known optima.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "lacb/bandit/lin_ucb.h"
 #include "lacb/bandit/neural_ucb.h"
 #include "lacb/common/rng.h"
+#include "lacb/persist/bytes.h"
 
 namespace lacb::bandit {
 namespace {
@@ -277,6 +279,123 @@ TEST(NeuralUcbTest, CopyCovarianceTransfersConfidence) {
   auto c = NeuralUcb::Create(other);
   ASSERT_TRUE(c.ok());
   EXPECT_FALSE(c->CopyCovariance(*a).ok());
+}
+
+// FNV-1a over the bandit's serialized state: network, covariance, replay
+// ring, training RNG — everything a training or scoring change could move.
+uint64_t StateDigest(const NeuralUcb& b) {
+  persist::ByteWriter w;
+  EXPECT_TRUE(b.SaveState(&w).ok());
+  uint64_t h = 1469598103934665603ULL;
+  for (char c : w.bytes()) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// A fixed seeded stream of select/observe steps against a knee-shaped
+// reward; every seventh reward is exactly zero and the noise makes some
+// negative, so the loss sees zero and negative targets.
+void DriveTrajectory(NeuralUcb* b, uint64_t seed, size_t steps) {
+  Rng rng(seed);
+  for (size_t t = 0; t < steps; ++t) {
+    Vector ctx(b->context_dim());
+    for (double& c : ctx) c = rng.Uniform(-1.0, 1.0);
+    auto v = b->SelectValue(ctx);
+    ASSERT_TRUE(v.ok());
+    double w = *v * rng.Uniform(0.5, 1.5);
+    double reward = (w <= 25.0 ? 0.3 : 0.3 / (1.0 + 0.1 * (w - 25.0))) +
+                    0.1 * rng.Normal();
+    if (t % 7 == 0) reward = 0.0;
+    ASSERT_TRUE(b->Observe(ctx, w, reward).ok());
+  }
+  ASSERT_TRUE(b->FlushTraining().ok());
+}
+
+// The learner's whole trajectory is pinned bit for bit: the digests were
+// recorded from the per-example reference implementation of the MLP
+// (before the batched kernel), so any reordering of a floating-point sum
+// in training or scoring shows up here.
+TEST(NeuralUcbTest, TrajectoryStateIsBitStable) {
+  // The shipped shape: 18 context features + 6 arms + value -> 32 -> 16 -> 1,
+  // replay minibatches of 128 once the replay outgrows them.
+  NeuralUcbConfig shipped;
+  shipped.arm_values = {10.0, 20.0, 30.0, 40.0, 50.0, 60.0};
+  shipped.context_dim = 18;
+  shipped.hidden_sizes = {32, 16};
+  shipped.alpha = 0.5;
+  shipped.lambda = 0.001;
+  shipped.batch_size = 16;
+  shipped.train_epochs = 30;
+  shipped.learning_rate = 0.05;
+  shipped.value_scale = 1.0 / 60.0;
+  shipped.seed = 11;
+  auto base = NeuralUcb::Create(shipped);
+  ASSERT_TRUE(base.ok());
+  DriveTrajectory(&*base, 21, 400);
+  EXPECT_EQ(base->training_passes(), 25u);
+  EXPECT_EQ(StateDigest(*base), 3622887116828818902ULL);
+
+  // Paper-literal buffer training with the full covariance matrix.
+  NeuralUcbConfig literal = MakeNeuralConfig();
+  literal.replay_capacity = 0;
+  literal.batch_size = 5;
+  literal.covariance = CovarianceMode::kFullMatrix;
+  auto lit = NeuralUcb::Create(literal);
+  ASSERT_TRUE(lit.ok());
+  DriveTrajectory(&*lit, 22, 60);
+  EXPECT_EQ(StateDigest(*lit), 7711089985819139116ULL);
+
+  // Layer transfer: the trained base network with all but the last layer
+  // frozen, training on every observation from a replay smaller than the
+  // minibatch.
+  nn::Mlp net = base->network();
+  for (size_t l = 0; l + 1 < net.num_layers(); ++l) {
+    ASSERT_TRUE(net.SetLayerTrainable(l, false).ok());
+  }
+  NeuralUcbConfig personal = shipped;
+  personal.batch_size = 1;
+  personal.seed = 29;
+  auto fine = NeuralUcb::CreateWithNetwork(personal, std::move(net));
+  ASSERT_TRUE(fine.ok());
+  ASSERT_TRUE(fine->CopyCovariance(*base).ok());
+  DriveTrajectory(&*fine, 23, 40);
+  EXPECT_EQ(StateDigest(*fine), 3557414385667547584ULL);
+}
+
+// SelectValue scores every arm in one batched pass; it must pick exactly
+// the arm a one-at-a-time UcbScore argmax picks (first maximum wins), on
+// a twin restored from the same state.
+TEST(NeuralUcbTest, SelectValueMatchesPerArmScores) {
+  NeuralUcbConfig c = MakeNeuralConfig();
+  c.arm_values = {10.0, 20.0, 30.0, 40.0, 25.0, 15.0};
+  auto b = NeuralUcb::Create(c);
+  ASSERT_TRUE(b.ok());
+  DriveTrajectory(&*b, 31, 120);
+  Rng rng(32);
+  for (int t = 0; t < 40; ++t) {
+    persist::ByteWriter w;
+    ASSERT_TRUE(b->SaveState(&w).ok());
+    auto twin = NeuralUcb::Create(c);
+    ASSERT_TRUE(twin.ok());
+    persist::ByteReader r(w.bytes().data(), w.bytes().size());
+    ASSERT_TRUE(twin->LoadState(&r).ok());
+
+    Vector ctx = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+    double want = c.arm_values.front();
+    double best = -std::numeric_limits<double>::infinity();
+    for (double v : c.arm_values) {
+      double score = twin->UcbScore(ctx, v).value();
+      if (score > best) {
+        best = score;
+        want = v;
+      }
+    }
+    auto got = b->SelectValue(ctx);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, want) << "step " << t;
+  }
 }
 
 TEST(EpsGreedyTest, CreateValidation) {

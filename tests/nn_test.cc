@@ -3,6 +3,8 @@
 // freezing, optimizers, and end-to-end regression fitting.
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -177,6 +179,283 @@ TEST(MlpTest, MaxLayerOperatorNormPositive) {
   auto net = Mlp::Create(SmallConfig(), &rng);
   ASSERT_TRUE(net.ok());
   EXPECT_GT(net->MaxLayerOperatorNorm(), 0.0);
+}
+
+// --- Bit-identity of the batched kernel ----------------------------------
+//
+// The per-example implementation the library shipped before its batched
+// kernel: forward with a cache, then backprop one example at a time into
+// the flattened gradient. The kernel must reproduce it byte for byte.
+class ReferenceMlp {
+ public:
+  explicit ReferenceMlp(const MlpConfig& config)
+      : sizes_(config.layer_sizes), bias_(config.use_bias) {
+    size_t offset = 0;
+    for (size_t l = 0; l < sizes_.size(); ++l) {
+      weight_offsets_.push_back(offset);
+      offset += out_dim(l) * in_dim(l);
+      bias_offsets_.push_back(offset);
+      if (bias_) offset += out_dim(l);
+    }
+  }
+
+  double Forward(const la::Vector& params, const la::Vector& x) const {
+    Cache cache;
+    ForwardWithCache(params, x, &cache);
+    return cache.output;
+  }
+
+  la::Vector ParamGradient(const la::Vector& params,
+                           const la::Vector& x) const {
+    Cache cache;
+    ForwardWithCache(params, x, &cache);
+    la::Vector grad(params.size(), 0.0);
+    Accumulate(params, cache, 1.0, &grad);
+    return grad;
+  }
+
+  la::Vector LossGradient(const la::Vector& params,
+                          const std::vector<Example>& data,
+                          const std::vector<size_t>& rows, double l2) const {
+    la::Vector grad(params.size(), 0.0);
+    Cache cache;
+    for (size_t r : rows) {
+      ForwardWithCache(params, data[r].x, &cache);
+      double residual = cache.output - data[r].target;
+      Accumulate(params, cache, 2.0 * residual, &grad);
+    }
+    if (l2 > 0.0) {
+      for (size_t i = 0; i < grad.size(); ++i) grad[i] += 2.0 * l2 * params[i];
+    }
+    return grad;
+  }
+
+ private:
+  struct Cache {
+    std::vector<la::Vector> activations;
+    std::vector<la::Vector> pre;
+    double output = 0.0;
+  };
+
+  size_t in_dim(size_t l) const { return sizes_[l]; }
+  size_t out_dim(size_t l) const {
+    return l + 1 < sizes_.size() ? sizes_[l + 1] : 1;
+  }
+
+  void ForwardWithCache(const la::Vector& params, const la::Vector& x,
+                        Cache* cache) const {
+    size_t n_layers = sizes_.size();
+    cache->activations.assign(n_layers + 1, {});
+    cache->pre.assign(n_layers, {});
+    cache->activations[0] = x;
+    for (size_t l = 0; l < n_layers; ++l) {
+      size_t in = in_dim(l);
+      size_t out = out_dim(l);
+      const la::Vector& a = cache->activations[l];
+      la::Vector z(out, 0.0);
+      const double* w = params.data() + weight_offsets_[l];
+      for (size_t i = 0; i < out; ++i) {
+        const double* row = w + i * in;
+        double acc = bias_ ? params[bias_offsets_[l] + i] : 0.0;
+        for (size_t j = 0; j < in; ++j) acc += row[j] * a[j];
+        z[i] = acc;
+      }
+      cache->pre[l] = z;
+      if (l + 1 == n_layers) {
+        cache->output = z[0];
+        cache->activations[l + 1] = std::move(z);
+      } else {
+        la::Vector act(out);
+        for (size_t i = 0; i < out; ++i) act[i] = z[i] > 0.0 ? z[i] : 0.0;
+        cache->activations[l + 1] = std::move(act);
+      }
+    }
+  }
+
+  void Accumulate(const la::Vector& params, const Cache& cache,
+                  double out_grad, la::Vector* grad) const {
+    la::Vector delta(1, out_grad);
+    for (size_t li = sizes_.size(); li > 0; --li) {
+      size_t l = li - 1;
+      size_t in = in_dim(l);
+      size_t out = out_dim(l);
+      const la::Vector& a = cache.activations[l];
+      double* gw = grad->data() + weight_offsets_[l];
+      for (size_t i = 0; i < out; ++i) {
+        double d = delta[i];
+        if (bias_) (*grad)[bias_offsets_[l] + i] += d;
+        if (d == 0.0) continue;
+        double* row = gw + i * in;
+        for (size_t j = 0; j < in; ++j) row[j] += d * a[j];
+      }
+      if (l == 0) break;
+      const double* w = params.data() + weight_offsets_[l];
+      la::Vector prev(in, 0.0);
+      for (size_t i = 0; i < out; ++i) {
+        double d = delta[i];
+        if (d == 0.0) continue;
+        const double* row = w + i * in;
+        for (size_t j = 0; j < in; ++j) prev[j] += d * row[j];
+      }
+      const la::Vector& pre_prev = cache.pre[l - 1];
+      for (size_t j = 0; j < in; ++j) {
+        if (pre_prev[j] <= 0.0) prev[j] = 0.0;
+      }
+      delta = std::move(prev);
+    }
+  }
+
+  std::vector<size_t> sizes_;
+  bool bias_;
+  std::vector<size_t> weight_offsets_;
+  std::vector<size_t> bias_offsets_;
+};
+
+bool SameBytes(const la::Vector& a, const la::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool SameBytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Shapes with every tail the kernel tiles have to handle: odd widths,
+// widths below and between tile sizes, a purely linear net, deep nets.
+std::vector<MlpConfig> KernelShapes() {
+  std::vector<MlpConfig> shapes;
+  for (std::vector<size_t> sizes :
+       std::vector<std::vector<size_t>>{{25, 32, 16},
+                                        {3, 5, 4},
+                                        {7},
+                                        {1, 1},
+                                        {6, 9, 3, 5},
+                                        {2, 17, 1, 8}}) {
+    for (bool bias : {true, false}) {
+      MlpConfig c;
+      c.layer_sizes = sizes;
+      c.use_bias = bias;
+      shapes.push_back(c);
+    }
+  }
+  return shapes;
+}
+
+// Random parameters with a share of zeros and of strongly negative values,
+// so some ReLU units are dead for every input and others sit on the kink
+// (zero pre-activation from all-zero inputs without biases).
+void RandomizeParams(Mlp* net, Rng* rng) {
+  la::Vector p = net->params();
+  for (double& v : p) {
+    double u = rng->Uniform();
+    v = u < 0.1 ? 0.0 : u < 0.2 ? -8.0 : rng->Normal(0.0, 0.6);
+  }
+  ASSERT_TRUE(net->SetParams(p).ok());
+}
+
+std::vector<Example> RandomExamples(size_t n, size_t dim, Rng* rng) {
+  std::vector<Example> data(n);
+  for (size_t k = 0; k < n; ++k) {
+    data[k].x.resize(dim);
+    bool zero_input = k % 11 == 3;
+    for (double& v : data[k].x) {
+      v = zero_input ? 0.0 : rng->Uniform(-2.0, 2.0);
+    }
+    // Zero, negative and positive targets.
+    data[k].target = k % 5 == 0 ? 0.0 : rng->Uniform(-1.5, 1.5);
+  }
+  return data;
+}
+
+TEST(MlpKernelTest, LossGradientMatchesReferenceBytes) {
+  Rng rng(101);
+  for (const MlpConfig& shape : KernelShapes()) {
+    auto net = Mlp::Create(shape, &rng);
+    ASSERT_TRUE(net.ok());
+    RandomizeParams(&*net, &rng);
+    // Freezing changes what ApplyGradient touches, not the gradient.
+    if (net->num_layers() > 1) {
+      ASSERT_TRUE(net->SetLayerTrainable(0, false).ok());
+    }
+    ReferenceMlp ref(shape);
+    for (size_t replay : {size_t{5}, size_t{300}}) {
+      std::vector<Example> data =
+          RandomExamples(replay, shape.layer_sizes.front(), &rng);
+      for (size_t mb : {1, 3, 127, 128, 129}) {
+        std::vector<size_t> rows(mb);
+        for (size_t& r : rows) {
+          r = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(replay) - 1));
+        }
+        for (double l2 : {0.0, 0.003}) {
+          la::Vector got;
+          ASSERT_TRUE(net->LossGradient(data, rows, l2, &got).ok());
+          la::Vector want = ref.LossGradient(net->params(), data, rows, l2);
+          EXPECT_TRUE(SameBytes(got, want))
+              << "layers " << shape.layer_sizes.size() << " bias "
+              << shape.use_bias << " replay " << replay << " minibatch "
+              << mb << " l2 " << l2;
+        }
+      }
+    }
+    // The whole-batch overload is the identity row order.
+    std::vector<Example> batch =
+        RandomExamples(70, shape.layer_sizes.front(), &rng);
+    std::vector<size_t> all(batch.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    auto whole = net->LossGradient(batch, 0.01);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_TRUE(
+        SameBytes(*whole, ref.LossGradient(net->params(), batch, all, 0.01)));
+  }
+}
+
+TEST(MlpKernelTest, ForwardAndParamGradientMatchReferenceBytes) {
+  Rng rng(202);
+  for (const MlpConfig& shape : KernelShapes()) {
+    auto net = Mlp::Create(shape, &rng);
+    ASSERT_TRUE(net.ok());
+    RandomizeParams(&*net, &rng);
+    ReferenceMlp ref(shape);
+    // 6 arms as SelectValue scores them, plus a batch longer than a chunk.
+    for (size_t n : {1, 6, 45}) {
+      std::vector<Example> data =
+          RandomExamples(n, shape.layer_sizes.front(), &rng);
+      std::vector<la::Vector> inputs;
+      for (const Example& ex : data) inputs.push_back(ex.x);
+      la::Vector outputs;
+      std::vector<la::Vector> grads;
+      ASSERT_TRUE(net->OutputGradients(inputs, &outputs, &grads).ok());
+      ASSERT_EQ(outputs.size(), n);
+      ASSERT_EQ(grads.size(), n);
+      for (size_t k = 0; k < n; ++k) {
+        double want_out = ref.Forward(net->params(), inputs[k]);
+        la::Vector want_grad = ref.ParamGradient(net->params(), inputs[k]);
+        EXPECT_TRUE(SameBytes(outputs[k], want_out)) << "input " << k;
+        EXPECT_TRUE(SameBytes(grads[k], want_grad)) << "input " << k;
+        EXPECT_TRUE(SameBytes(net->Forward(inputs[k]).value(), want_out));
+        EXPECT_TRUE(
+            SameBytes(net->ParamGradient(inputs[k]).value(), want_grad));
+      }
+    }
+  }
+}
+
+TEST(MlpKernelTest, RejectsBadRowsAndInputs) {
+  Rng rng(303);
+  auto net = Mlp::Create(SmallConfig(), &rng);
+  ASSERT_TRUE(net.ok());
+  std::vector<Example> data = {{{0.1, 0.2, 0.3}, 0.5}, {{0.4}, 0.1}};
+  la::Vector grad;
+  EXPECT_EQ(net->LossGradient(data, {0, 2}, 0.0, &grad).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(net->LossGradient(data, {0, 1}, 0.0, &grad).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(net->LossGradient(data, {0, 0}, 0.0, &grad).ok());
+  la::Vector outputs;
+  std::vector<la::Vector> grads;
+  EXPECT_FALSE(net->OutputGradients({{1.0}}, &outputs, &grads).ok());
+  EXPECT_FALSE(net->Loss(data, 0.0).ok());
 }
 
 TEST(SgdTest, FitsLinearFunction) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -204,6 +205,64 @@ TEST(WalTest, CorruptRecordStopsAtCrcMismatch) {
   ASSERT_TRUE(rec.ok());
   EXPECT_TRUE(rec->truncated_torn_tail);
   ASSERT_EQ(rec->records.size(), 1u);
+}
+
+TEST(WalTest, SolvedFlagRoundTripsAndTruncatedBodiesAreRefused) {
+  std::string dir = TempDirFor("wal_solved");
+  std::filesystem::create_directories(dir);
+  std::string path = dir + "/wal-1.log";
+  std::vector<std::string> bodies;
+  {
+    auto wal = persist::WalWriter::Create(path, 1, false);
+    ASSERT_TRUE(wal.ok());
+    (*wal)->set_record_sink([&bodies](std::string_view framed) {
+      // Strip the u32 length prefix and the u32 CRC suffix.
+      bodies.emplace_back(framed.substr(4, framed.size() - 8));
+    });
+    ASSERT_TRUE((*wal)->AppendBatch(5, 0, 1, {WalRequest(1)}, {2}).ok());
+    ASSERT_TRUE((*wal)
+                    ->AppendBatch(6, 0, 0, {WalRequest(2)}, {-1},
+                                  /*solved=*/false)
+                    .ok());
+  }
+  auto rec = persist::RecoverWal(path);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_FALSE(rec->truncated_torn_tail);
+  ASSERT_EQ(rec->records.size(), 2u);
+  EXPECT_TRUE(rec->records[0].solved);
+  EXPECT_FALSE(rec->records[1].solved);
+
+  // Every strict prefix of a body is refused as a Status, never read past.
+  ASSERT_EQ(bodies.size(), 2u);
+  ASSERT_TRUE(persist::DecodeWalRecord(bodies[1]).ok());
+  for (size_t len = 0; len < bodies[1].size(); ++len) {
+    EXPECT_FALSE(persist::DecodeWalRecord(bodies[1].substr(0, len)).ok())
+        << "prefix of " << len << " bytes";
+  }
+  // So are trailing bytes, a flag byte other than 0/1 and unknown types.
+  EXPECT_FALSE(persist::DecodeWalRecord(bodies[1] + '\0').ok());
+  std::string bad_flag = bodies[1];
+  bad_flag.back() = 7;
+  EXPECT_FALSE(persist::DecodeWalRecord(bad_flag).ok());
+  std::string unknown = bodies[1];
+  unknown[0] = 9;
+  EXPECT_FALSE(persist::DecodeWalRecord(unknown).ok());
+
+  // A CRC-valid record whose body lacks the flag ends the valid log there.
+  std::string short_body = bodies[0].substr(0, bodies[0].size() - 1);
+  persist::ByteWriter frame;
+  frame.U32(static_cast<uint32_t>(short_body.size()));
+  for (char c : short_body) frame.U8(static_cast<uint8_t>(c));
+  frame.U32(persist::Crc32(short_body));
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.write(frame.bytes().data(),
+            static_cast<std::streamsize>(frame.bytes().size()));
+  }
+  auto cut = persist::RecoverWal(path);
+  ASSERT_TRUE(cut.ok());
+  EXPECT_TRUE(cut->truncated_torn_tail);
+  EXPECT_EQ(cut->records.size(), 2u);
 }
 
 TEST(WalTest, MissingFileIsNotFoundBadHeaderIsInvalid) {
@@ -432,10 +491,17 @@ sim::DatasetConfig RecoveryConfig() {
   return cfg;
 }
 
+// `solve_over_budget_rate` > 0 injects deadline aborts: those batches skip
+// the policy solve and commit the greedy fallback.
 serve::ServeOptions RecoveryServeOptions(
     const std::string& checkpoint_dir, uint64_t kill_after_commits,
-    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr) {
+    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr,
+    double solve_over_budget_rate = 0.0) {
   serve::ServeOptions opts;
+  if (solve_over_budget_rate > 0.0) {
+    opts.solve_budget = std::chrono::hours(1);  // never overrun for real
+    opts.fault_plan.solve_over_budget_rate = solve_over_budget_rate;
+  }
   opts.scenario = std::move(churn);
   opts.num_workers = 1;
   opts.max_batch_size = 1u << 20;
@@ -497,11 +563,12 @@ Status DriveToEnd(serve::AssignmentService* service, size_t start_day,
 
 RunLedger UninterruptedBaseline(
     const sim::DatasetConfig& cfg,
-    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr) {
+    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr,
+    double solve_over_budget_rate = 0.0) {
   obs::ScopedTelemetry telemetry;
-  auto service =
-      serve::AssignmentService::Create(cfg, RecoveryFactory(cfg),
-                                       RecoveryServeOptions("", 0, churn));
+  auto service = serve::AssignmentService::Create(
+      cfg, RecoveryFactory(cfg),
+      RecoveryServeOptions("", 0, churn, solve_over_budget_rate));
   EXPECT_TRUE(service.ok());
   EXPECT_TRUE((*service)->Start().ok());
   RunLedger ledger;
@@ -516,11 +583,13 @@ RunLedger UninterruptedBaseline(
 std::vector<double> RunUntilKilled(
     const sim::DatasetConfig& cfg, const std::string& dir,
     uint64_t kill_after_commits,
-    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr) {
+    std::shared_ptr<const scenario::CompiledScenario> churn = nullptr,
+    double solve_over_budget_rate = 0.0) {
   obs::ScopedTelemetry telemetry;
   auto service = serve::AssignmentService::Create(
       cfg, RecoveryFactory(cfg),
-      RecoveryServeOptions(dir, kill_after_commits, churn));
+      RecoveryServeOptions(dir, kill_after_commits, churn,
+                           solve_over_budget_rate));
   EXPECT_TRUE(service.ok());
   EXPECT_TRUE((*service)->Start().ok());
   EXPECT_FALSE((*service)->restore_info().restored);
@@ -753,6 +822,50 @@ TEST(CrashRecoveryTest, KillAndRecoverUnderChurnIsBitIdentical) {
     EXPECT_TRUE(resumed.platform_state == expected.platform_state);
     EXPECT_TRUE(resumed.replica_state == expected.replica_state);
   }
+}
+
+TEST(CrashRecoveryTest, SkippedSolvesAreNotReSolvedOnReplay) {
+  // Every batch's solve is an injected deadline abort: the live process
+  // never runs LACB-Opt's batch solve (no value-function backups, no CBS
+  // draws) and commits the greedy fallback. The WAL journals those batches
+  // unsolved, so replay must not run the solve either — otherwise the
+  // restored replica advances past the one that died.
+  sim::DatasetConfig cfg = RecoveryConfig();
+  RunLedger expected = UninterruptedBaseline(cfg, nullptr, 1.0);
+  ASSERT_EQ(expected.daily_utility.size(), 3u);
+
+  std::string dir = TempDirFor("skipped_solves_recover");
+  std::vector<double> before_kill = RunUntilKilled(cfg, dir, 27, nullptr, 1.0);
+  ASSERT_EQ(before_kill.size(), 1u);
+  EXPECT_DOUBLE_EQ(before_kill[0], expected.daily_utility[0]);
+
+  obs::ScopedTelemetry telemetry;
+  auto service = serve::AssignmentService::Create(
+      cfg, RecoveryFactory(cfg), RecoveryServeOptions(dir, 0, nullptr, 1.0));
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->Start().ok()) << "warm restart failed";
+  const serve::RestoreInfo& info = (*service)->restore_info();
+  ASSERT_TRUE(info.restored);
+  EXPECT_EQ(info.day, 1u);
+  EXPECT_EQ(info.replayed_batches, 3u);
+
+  RunLedger resumed;
+  Status st = DriveToEnd(service->get(), info.day,
+                         info.batches_committed_today, info.day_open,
+                         &resumed);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(obs::ActiveRegistry()
+                .GetCounter("persist.replay_divergence")
+                .value(),
+            0u);
+  (*service)->Shutdown();
+  EXPECT_GT((*service)->Stats().degraded_batches, 0u);
+
+  ASSERT_EQ(resumed.daily_utility.size(), 2u);
+  EXPECT_DOUBLE_EQ(resumed.daily_utility[0], expected.daily_utility[1]);
+  EXPECT_DOUBLE_EQ(resumed.daily_utility[1], expected.daily_utility[2]);
+  EXPECT_TRUE(resumed.platform_state == expected.platform_state);
+  EXPECT_TRUE(resumed.replica_state == expected.replica_state);
 }
 
 TEST(CrashRecoveryTest, DisabledPersistenceKeepsServePathUnchanged) {
