@@ -114,9 +114,14 @@ Status NeuralUcb::NetInput(const Vector& context, double value,
   return Status::OK();
 }
 
-Result<double> NeuralUcb::Width2(const Vector& grad) const {
-  if (full_cov_ != nullptr) return full_cov_->QuadraticForm(grad);
-  return diag_cov_->QuadraticForm(grad);
+Status NeuralUcb::Width2(const std::vector<Vector>& grads,
+                         Vector* width2) const {
+  if (diag_cov_ != nullptr) return diag_cov_->QuadraticForms(grads, width2);
+  width2->resize(grads.size());
+  for (size_t k = 0; k < grads.size(); ++k) {
+    LACB_ASSIGN_OR_RETURN((*width2)[k], full_cov_->QuadraticForm(grads[k]));
+  }
+  return Status::OK();
 }
 
 Status NeuralUcb::CovarianceUpdate(const Vector& grad) {
@@ -128,38 +133,37 @@ Result<double> NeuralUcb::UcbScore(const Vector& context,
                                    double value) const {
   std::vector<Vector> in(1);
   LACB_RETURN_NOT_OK(NetInput(context, value, &in[0]));
-  Vector mean;
+  Vector mean, width2;
   std::vector<Vector> grad;
   LACB_RETURN_NOT_OK(net_.OutputGradients(in, &mean, &grad));
-  LACB_ASSIGN_OR_RETURN(double width2, Width2(grad[0]));
-  return mean[0] + config_.alpha * std::sqrt(width2);
+  LACB_RETURN_NOT_OK(Width2(grad, &width2));
+  return mean[0] + config_.alpha * std::sqrt(width2[0]);
 }
 
 Result<double> NeuralUcb::SelectValue(const Vector& context) {
   LACB_TRACE_SPAN("bandit_select");
   // Alg. 1 lines 6-9: pick the arm with the maximal upper confidence bound,
   // then update D with the chosen arm's gradient (line 12). One batched
-  // forward+backward scores every arm; the buffers are reused across calls.
+  // forward+backward scores every arm, and their widths are summed side by
+  // side; the buffers are reused across calls.
   thread_local std::vector<Vector> inputs;
   thread_local Vector means;
   thread_local std::vector<Vector> grads;
+  thread_local Vector width2;
   const std::vector<double>& arms = config_.arm_values;
   inputs.resize(arms.size());
   for (size_t a = 0; a < arms.size(); ++a) {
     LACB_RETURN_NOT_OK(NetInput(context, arms[a], &inputs[a]));
   }
   LACB_RETURN_NOT_OK(net_.OutputGradients(inputs, &means, &grads));
+  LACB_RETURN_NOT_OK(Width2(grads, &width2));
   size_t best = 0;
   double best_score = -std::numeric_limits<double>::infinity();
-  double best_width2 = 0.0;
   for (size_t a = 0; a < arms.size(); ++a) {
-    LACB_ASSIGN_OR_RETURN(double width2, Width2(grads[a]));
-    if (a == 0) best_width2 = width2;
-    double score = means[a] + config_.alpha * std::sqrt(width2);
+    double score = means[a] + config_.alpha * std::sqrt(width2[a]);
     if (score > best_score) {
       best_score = score;
       best = a;
-      best_width2 = width2;
     }
   }
   // The chosen arm's confidence width α·√(gᵀD⁻¹g) before folding g into D:
@@ -168,7 +172,7 @@ Result<double> NeuralUcb::SelectValue(const Vector& context) {
   obs::MetricRegistry& registry = obs::ActiveRegistry();
   registry.GetCounter("bandit.neural_ucb.pulls").Increment();
   registry.GetHistogram("bandit.neural_ucb.ucb_width", WidthBounds())
-      .Record(config_.alpha * std::sqrt(std::max(0.0, best_width2)));
+      .Record(config_.alpha * std::sqrt(std::max(0.0, width2[best])));
   LACB_RETURN_NOT_OK(CovarianceUpdate(grads[best]));
   return arms[best];
 }

@@ -118,7 +118,8 @@ class NeuralUcb : public ContextualBandit {
 
   // Writes the network input for (context, value) into *in.
   Status NetInput(const Vector& context, double value, Vector* in) const;
-  Result<double> Width2(const Vector& grad) const;
+  // (*width2)[k] = gradsᵀ[k] D⁻¹ grads[k], the squared confidence widths.
+  Status Width2(const std::vector<Vector>& grads, Vector* width2) const;
   Status CovarianceUpdate(const Vector& grad);
 
   NeuralUcbConfig config_;

@@ -1,8 +1,42 @@
 #include "lacb/la/linalg.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace lacb::la {
+
+namespace {
+
+using v2d = double __attribute__((vector_size(16)));
+
+// out[k] = Σ_i g[k][i]²/d[i] in i order for K sums side by side. Each
+// 2-lane division forms the terms of two consecutive i, which are then
+// added one at a time.
+template <size_t K>
+void SumQuadraticForms(const double* const* g, const double* d, size_t n,
+                       double* out) {
+  double acc[K] = {};
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    v2d dv;
+    std::memcpy(&dv, d + i, sizeof(dv));
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) {
+      v2d gv;
+      std::memcpy(&gv, g[k] + i, sizeof(gv));
+      v2d t = gv * gv / dv;
+      acc[k] += t[0];
+      acc[k] += t[1];
+    }
+  }
+  for (; i < n; ++i) {
+    for (size_t k = 0; k < K; ++k) acc[k] += g[k][i] * g[k][i] / d[i];
+  }
+  for (size_t k = 0; k < K; ++k) out[k] = acc[k];
+}
+
+}  // namespace
 
 Result<Matrix> CholeskyFactor(const Matrix& a) {
   if (a.rows() != a.cols()) {
@@ -123,6 +157,35 @@ Result<double> DiagonalInverse::QuadraticForm(const Vector& g) const {
   double acc = 0.0;
   for (size_t i = 0; i < g.size(); ++i) acc += g[i] * g[i] / diag_[i];
   return acc;
+}
+
+Status DiagonalInverse::QuadraticForms(const std::vector<Vector>& gs,
+                                       Vector* out) const {
+  for (const Vector& g : gs) {
+    if (g.size() != diag_.size()) {
+      return Status::InvalidArgument("QuadraticForm dimension mismatch");
+    }
+  }
+  out->resize(gs.size());
+  const double* g[4];
+  for (size_t k = 0; k < gs.size();) {
+    size_t group = std::min<size_t>(gs.size() - k, 4);
+    if (group == 3) group = 2;
+    for (size_t a = 0; a < group; ++a) g[a] = gs[k + a].data();
+    double* dst = out->data() + k;
+    switch (group) {
+      case 4:
+        SumQuadraticForms<4>(g, diag_.data(), diag_.size(), dst);
+        break;
+      case 2:
+        SumQuadraticForms<2>(g, diag_.data(), diag_.size(), dst);
+        break;
+      default:
+        SumQuadraticForms<1>(g, diag_.data(), diag_.size(), dst);
+    }
+    k += group;
+  }
+  return Status::OK();
 }
 
 }  // namespace lacb::la

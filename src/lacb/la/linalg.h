@@ -80,6 +80,11 @@ class DiagonalInverse {
 
   Result<double> QuadraticForm(const Vector& g) const;
 
+  /// \brief (*out)[k] = QuadraticForm(gs[k]), bit for bit: every sum keeps
+  /// its own order, but the sums run side by side so their add chains
+  /// overlap.
+  Status QuadraticForms(const std::vector<Vector>& gs, Vector* out) const;
+
   size_t dim() const { return diag_.size(); }
   const Vector& diagonal() const { return diag_; }
 

@@ -1,11 +1,14 @@
 #include "lacb/nn/mlp.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <utility>
+
+#include "lacb/common/cpu.h"
 
 namespace lacb::nn {
 
@@ -66,151 +69,373 @@ Result<Mlp> Mlp::Create(const MlpConfig& config, Rng* rng) {
 
 namespace {
 
-// Two double lanes: SSE2 on x86-64, NEON on AArch64, scalar pairs
-// elsewhere. Comparisons yield all-ones/all-zeros 64-bit lane masks.
-using v2d = double __attribute__((vector_size(16)));
-using v2m = int64_t __attribute__((vector_size(16)));
+#define LACB_TILE [[gnu::always_inline]] inline
 
-inline v2d Load2(const double* p) {
-  v2d v;
+// L double lanes per vector: SSE2 (L = 2), AVX2 (4) or AVX-512F (8) on
+// x86-64; NEON or scalar pairs for L = 2 elsewhere. Comparisons yield
+// all-ones/all-zeros 64-bit lane masks.
+template <int L>
+struct Lanes {
+  typedef double V __attribute__((vector_size(8 * L)));
+  typedef int64_t M __attribute__((vector_size(8 * L)));
+};
+
+// Vectors travel by reference only: a vector wider than 16 bytes passed or
+// returned by value has an ISA-dependent ABI (GCC's -Wpsabi), and these
+// helpers are compiled for the baseline ISA before being inlined.
+template <class V>
+LACB_TILE void Load(V& v, const double* p) {
   std::memcpy(&v, p, sizeof(v));
-  return v;
 }
-inline void Store2(double* p, v2d v) { std::memcpy(p, &v, sizeof(v)); }
-inline v2d Splat(double x) { return v2d{x, x}; }
+template <class V>
+LACB_TILE void Store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof(v));
+}
 // x in the lanes where m is set, +0.0 elsewhere. Adding +0.0 to a running
 // sum that started at +0.0 never changes it (such a sum is never −0.0), so
 // a masked-out term is exactly a skipped one.
-inline v2d Select(v2d x, v2m m) { return (v2d)((v2m)x & m); }
+template <class V, class M>
+LACB_TILE void AddSelected(V& acc, const V& x, const M& m) {
+  acc += (V)((M)x & m);
+}
+template <class V, class M>
+LACB_TILE void StoreSelected(double* p, const V& x, const M& m) {
+  Store(p, (V)((M)x & m));
+}
 
-// Lanes per forward/backward tile: two example pairs.
-constexpr size_t kBlock = 4;
+// Inputs per pass of the kernel.
+constexpr size_t kChunk = 32;
 
 size_t RoundUp(size_t n, size_t k) { return (n + k - 1) / k * k; }
 
+// One layer of a chunk: raw pointers into the network's parameters and the
+// workspace, so a kernel entry takes nothing but plain data.
+struct LayerPass {
+  const double* w;     // [out][in] row-major
+  const double* bias;  // [out], or nullptr without biases
+  size_t in, out;
+  size_t cols;  // in + bias column, rounded up to the pass's lane count
+  double* act;    // a: feature-major [in][nb]
+  double* pre;    // z: [out][nb]
+  double* delta;  // δ: [out][nb]
+  double* act_t;  // a: example-major [n][cols], 1.0 in the bias column
+  double* grad;   // gradient accumulator [out][cols]
+};
+
+struct Chunk {
+  const LayerPass* layers;
+  size_t n_layers;
+  size_t n;   // live examples
+  size_t nb;  // lanes per feature row: n rounded up to a tile (2·L)
+};
+
 // z[i][e] = bias_i + Σ_j w_ij·a[j][e] for rows [i0, i0+RI) and examples
-// [e0, e0+4), j in order. a and z are feature-major with stride nb.
-template <int RI>
-void ForwardTile(const double* w, size_t in, const double* bias, size_t i0,
-                 const double* a, size_t nb, size_t e0, double* z) {
-  v2d acc[RI][2];
-#pragma GCC unroll 4
-  for (int r = 0; r < RI; ++r) {
-    v2d b = Splat(bias != nullptr ? bias[i0 + r] : 0.0);
-    acc[r][0] = b;
-    acc[r][1] = b;
-  }
-  for (size_t j = 0; j < in; ++j) {
-    v2d a0 = Load2(a + j * nb + e0);
-    v2d a1 = Load2(a + j * nb + e0 + 2);
+// [e0, e0+2L), j in order. a and z are feature-major with stride nb.
+template <int L, int RI>
+LACB_TILE void ForwardTile(const LayerPass& p, size_t i0, size_t nb,
+                           size_t e0) {
+  using V = typename Lanes<L>::V;
+  V acc[RI][2] = {};
+  if (p.bias != nullptr) {
 #pragma GCC unroll 4
     for (int r = 0; r < RI; ++r) {
-      v2d wr = Splat(w[(i0 + r) * in + j]);
+      // A broadcast: b − (+0.0) is exactly b, −0.0 included.
+      acc[r][0] = p.bias[i0 + r] - V{};
+      acc[r][1] = acc[r][0];
+    }
+  }
+  for (size_t j = 0; j < p.in; ++j) {
+    V a0 = {}, a1 = {};
+    Load(a0, p.act + j * nb + e0);
+    Load(a1, p.act + j * nb + e0 + L);
+#pragma GCC unroll 4
+    for (int r = 0; r < RI; ++r) {
+      double wr = p.w[(i0 + r) * p.in + j];
       acc[r][0] += wr * a0;
       acc[r][1] += wr * a1;
     }
   }
 #pragma GCC unroll 4
   for (int r = 0; r < RI; ++r) {
-    Store2(z + (i0 + r) * nb + e0, acc[r][0]);
-    Store2(z + (i0 + r) * nb + e0 + 2, acc[r][1]);
+    Store(p.pre + (i0 + r) * nb + e0, acc[r][0]);
+    Store(p.pre + (i0 + r) * nb + e0 + L, acc[r][1]);
   }
 }
 
 // p[j][e] = Σ_i δ[i][e]·w_ij over i in order, skipping δ = 0, then zeroed
-// where zprev[j][e] ≤ 0 — for rows [j0, j0+RJ) and examples [e0, e0+4).
-template <int RJ>
-void BackTile(const double* w, size_t in, size_t out, const double* d,
-              size_t nb, size_t j0, size_t e0, const double* zprev,
-              double* p) {
-  v2d acc[RJ][2] = {};
-  for (size_t i = 0; i < out; ++i) {
-    v2d d0 = Load2(d + i * nb + e0);
-    v2d d1 = Load2(d + i * nb + e0 + 2);
-    v2m m0 = d0 != 0.0;
-    v2m m1 = d1 != 0.0;
+// where zprev[j][e] ≤ 0 — for rows [j0, j0+RJ) and examples [e0, e0+2L).
+template <int L, int RJ>
+LACB_TILE void BackTile(const LayerPass& p, const LayerPass& below,
+                        size_t j0, size_t nb, size_t e0) {
+  using V = typename Lanes<L>::V;
+  using M = typename Lanes<L>::M;
+  V acc[RJ][2] = {};
+  for (size_t i = 0; i < p.out; ++i) {
+    V d0 = {}, d1 = {};
+    Load(d0, p.delta + i * nb + e0);
+    Load(d1, p.delta + i * nb + e0 + L);
+    M m0 = d0 != 0.0;
+    M m1 = d1 != 0.0;
 #pragma GCC unroll 4
     for (int r = 0; r < RJ; ++r) {
-      v2d wr = Splat(w[i * in + j0 + r]);
-      acc[r][0] += Select(d0 * wr, m0);
-      acc[r][1] += Select(d1 * wr, m1);
+      double wr = p.w[i * p.in + j0 + r];
+      AddSelected(acc[r][0], d0 * wr, m0);
+      AddSelected(acc[r][1], d1 * wr, m1);
     }
   }
 #pragma GCC unroll 4
   for (int r = 0; r < RJ; ++r) {
+#pragma GCC unroll 2
     for (size_t c = 0; c < 2; ++c) {
-      v2d z = Load2(zprev + (j0 + r) * nb + e0 + 2 * c);
-      Store2(p + (j0 + r) * nb + e0 + 2 * c, Select(acc[r][c], ~(z <= 0.0)));
+      size_t at = (j0 + r) * nb + e0 + L * c;
+      V z = {};
+      Load(z, below.pre + at);
+      StoreSelected(below.delta + at, acc[r][c], ~(z <= 0.0));
     }
   }
 }
 
 // g[j] += Σ_t δ[idx[t]]·a_t[idx[t]][j] over t in order, for columns
-// [j0, j0+2·RJ) of one gradient row. idx lists the row's examples with a
+// [j0, j0+L·RJ) of one gradient row. idx lists the row's examples with a
 // nonzero delta: skipping the others is exactly the reference's
-// `δ = 0 → skip`. a_t is example-major with `cols` columns (the last real
-// one is the bias's 1.0).
-template <int RJ>
-void GradTile(const double* d, const uint32_t* idx, size_t k,
-              const double* a_t, size_t cols, size_t j0, double* g) {
-  v2d acc[RJ];
+// `δ = 0 → skip`.
+template <int L, int RJ>
+LACB_TILE void GradTile(const LayerPass& p, const double* d,
+                        const uint32_t* idx, size_t k, size_t j0, double* g) {
+  using V = typename Lanes<L>::V;
+  V acc[RJ] = {};
 #pragma GCC unroll 8
-  for (int c = 0; c < RJ; ++c) acc[c] = Load2(g + j0 + 2 * c);
+  for (int c = 0; c < RJ; ++c) Load(acc[c], g + j0 + L * c);
   for (size_t t = 0; t < k; ++t) {
-    const double* a = a_t + idx[t] * cols + j0;
-    v2d dv = Splat(d[idx[t]]);
+    const double* a = p.act_t + idx[t] * p.cols + j0;
+    double dt = d[idx[t]];
 #pragma GCC unroll 8
-    for (int c = 0; c < RJ; ++c) acc[c] += dv * Load2(a + 2 * c);
+    for (int c = 0; c < RJ; ++c) {
+      V ac = {};
+      Load(ac, a + L * c);
+      acc[c] += dt * ac;
+    }
   }
 #pragma GCC unroll 8
-  for (int c = 0; c < RJ; ++c) Store2(g + j0 + 2 * c, acc[c]);
+  for (int c = 0; c < RJ; ++c) Store(g + j0 + L * c, acc[c]);
+}
+
+// Pre-activations of every layer, with the ReLU of each hidden layer
+// written as the next layer's activations.
+template <int L>
+LACB_TILE void ForwardStage(const Chunk& c) {
+  using V = typename Lanes<L>::V;
+  for (size_t l = 0; l < c.n_layers; ++l) {
+    const LayerPass& p = c.layers[l];
+    size_t i = 0;
+    for (; i + 4 <= p.out; i += 4) {
+      for (size_t e = 0; e < c.nb; e += 2 * L) {
+        ForwardTile<L, 4>(p, i, c.nb, e);
+      }
+    }
+    for (; i < p.out; ++i) {
+      for (size_t e = 0; e < c.nb; e += 2 * L) {
+        ForwardTile<L, 1>(p, i, c.nb, e);
+      }
+    }
+    if (l + 1 == c.n_layers) break;
+    double* next = c.layers[l + 1].act;
+    for (size_t k = 0; k < p.out * c.nb; k += L) {
+      V zk = {};
+      Load(zk, p.pre + k);
+      StoreSelected(next + k, zk, zk > 0.0);
+    }
+  }
+}
+
+// Deltas of every layer from the output gradients, then every layer's
+// activations laid out per example for the gradient tiles.
+template <int L>
+LACB_TILE void BackwardStage(const Chunk& c) {
+  for (size_t l = c.n_layers - 1; l > 0; --l) {
+    const LayerPass& p = c.layers[l];
+    const LayerPass& below = c.layers[l - 1];
+    size_t j = 0;
+    for (; j + 4 <= p.in; j += 4) {
+      for (size_t e = 0; e < c.nb; e += 2 * L) {
+        BackTile<L, 4>(p, below, j, c.nb, e);
+      }
+    }
+    for (; j < p.in; ++j) {
+      for (size_t e = 0; e < c.nb; e += 2 * L) {
+        BackTile<L, 1>(p, below, j, c.nb, e);
+      }
+    }
+  }
+  for (size_t l = 0; l < c.n_layers; ++l) {
+    const LayerPass& p = c.layers[l];
+    for (size_t e = 0; e < c.n; ++e) {
+      double* row = p.act_t + e * p.cols;
+      for (size_t j = 0; j < p.in; ++j) row[j] = p.act[j * c.nb + e];
+      for (size_t j = p.in; j < p.cols; ++j) row[j] = 0.0;
+      if (p.bias != nullptr) row[p.in] = 1.0;
+    }
+  }
+}
+
+// Adds the parameter gradients of examples [begin, end), in order.
+template <int L>
+LACB_TILE void AccumulateStage(const Chunk& c, size_t begin, size_t end) {
+  uint32_t idx[kChunk];
+  for (size_t l = 0; l < c.n_layers; ++l) {
+    const LayerPass& p = c.layers[l];
+    for (size_t i = 0; i < p.out; ++i) {
+      const double* d = p.delta + i * c.nb;
+      size_t k = 0;
+      for (size_t e = begin; e < end; ++e) {
+        idx[k] = static_cast<uint32_t>(e);
+        k += d[e] != 0.0;
+      }
+      if (k == 0) continue;
+      double* g = p.grad + i * p.cols;
+      size_t j = 0;
+      for (; j + 8 * L <= p.cols; j += 8 * L) {
+        GradTile<L, 8>(p, d, idx, k, j, g);
+      }
+      for (; j + 4 * L <= p.cols; j += 4 * L) {
+        GradTile<L, 4>(p, d, idx, k, j, g);
+      }
+      for (; j < p.cols; j += L) GradTile<L, 1>(p, d, idx, k, j, g);
+    }
+  }
+}
+
+enum class Stage { kForward, kBackward, kAccumulate };
+
+template <int L>
+LACB_TILE void RunStage(Stage stage, const Chunk& c, size_t begin,
+                        size_t end) {
+  switch (stage) {
+    case Stage::kForward:
+      ForwardStage<L>(c);
+      break;
+    case Stage::kBackward:
+      BackwardStage<L>(c);
+      break;
+    case Stage::kAccumulate:
+      AccumulateStage<L>(c, begin, end);
+      break;
+  }
+}
+
+// The kernel's only out-of-line entries, one per lane count. Each inlines
+// the whole stage, so wide vectors never cross a call and the ISA of an
+// entry never reaches code shared with the rest of the program.
+using StageFn = void (*)(Stage, const Chunk&, size_t, size_t);
+void RunStage2(Stage s, const Chunk& c, size_t begin, size_t end) {
+  RunStage<2>(s, c, begin, end);
+}
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void RunStage4(Stage s, const Chunk& c, size_t begin,
+                                       size_t end) {
+  RunStage<4>(s, c, begin, end);
+}
+[[gnu::target("avx512f")]] void RunStage8(Stage s, const Chunk& c,
+                                          size_t begin, size_t end) {
+  RunStage<8>(s, c, begin, end);
+}
+#endif
+
+StageFn StageFor(size_t lanes) {
+  switch (lanes) {
+#if defined(__x86_64__)
+    case 8:
+      return RunStage8;
+    case 4:
+      return RunStage4;
+#endif
+    default:
+      return RunStage2;
+  }
+}
+
+#undef LACB_TILE
+
+std::atomic<size_t> g_forced_lanes{0};
+
+// Lanes for a pass whose chunks hold up to n inputs: the widest the CPU
+// runs that pads a chunk to no more lanes than the narrowest tile (4) does,
+// so one input or SelectValue's six arms do not pay for 16-lane tiles.
+size_t PassLanes(size_t n) {
+  size_t forced = g_forced_lanes.load(std::memory_order_relaxed);
+  if (forced != 0) return forced;
+  size_t lanes = SimdDoubleLanes();
+  while (lanes > 2 && RoundUp(n, 2 * lanes) > RoundUp(n, 4)) lanes /= 2;
+  return lanes;
 }
 
 }  // namespace
 
-// Per layer l (in_l inputs, out_l outputs, cols_l = in_l + bias rounded up
-// to even): activations a_l feature-major [in_l][nb]; pre-activations z_l
-// and deltas δ_l [out_l][nb]; a_l example-major with a 1.0 bias column
-// [n][cols_l]; gradient accumulator [out_l][cols_l]. Lanes past n hold
-// zero inputs and zero output gradients.
+Status ForceKernelLanesForTesting(size_t lanes) {
+  if (lanes != 0 && lanes != 2 && lanes != 4 && lanes != 8) {
+    return Status::InvalidArgument("kernel lanes must be 0, 2, 4 or 8");
+  }
+  if (lanes > SimdDoubleLanes()) {
+    return Status::InvalidArgument("this CPU cannot run that lane width");
+  }
+  g_forced_lanes.store(lanes, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+// Per pass: the lane count L, its kernel entry, and per layer the buffers
+// of LayerPass, carved from one allocation with every buffer starting on a
+// 64-byte line (and L-lane rows that keep it), so no vector load of a tile
+// straddles two lines. Lanes past n hold zero inputs and zero output
+// gradients.
 struct Mlp::Workspace {
   size_t n = 0;
   size_t nb = 0;
-  std::vector<double> act, pre, delta, act_t, grad;
-  std::vector<size_t> act_off, pre_off, act_t_off, grad_off, cols;
+  size_t lanes = 2;
+  StageFn run = RunStage2;
+  std::vector<double> buffer;
+  std::vector<LayerPass> layers;
   std::vector<const double*> inputs;
+
+  Chunk chunk() const { return Chunk{layers.data(), layers.size(), n, nb}; }
 };
 
 Mlp::Workspace& Mlp::PrepareWorkspace(size_t n) const {
+  constexpr size_t kLine = 64 / sizeof(double);
   thread_local Workspace ws;
   size_t chunk = std::min(std::max<size_t>(n, 1), kChunk);
-  size_t nb = RoundUp(chunk, kBlock);
+  ws.lanes = PassLanes(chunk);
+  ws.run = StageFor(ws.lanes);
+  size_t nb = RoundUp(chunk, 2 * ws.lanes);
   size_t n_layers = layer_sizes_.size();
-  for (std::vector<size_t>* v :
-       {&ws.act_off, &ws.pre_off, &ws.act_t_off, &ws.grad_off, &ws.cols}) {
-    v->resize(n_layers);
-  }
-  size_t act = 0, pre = 0, act_t = 0, grad = 0;
+  ws.layers.resize(n_layers);
   for (size_t l = 0; l < n_layers; ++l) {
-    size_t cols = RoundUp(in_dim(l) + (use_bias_ ? 1 : 0), 2);
-    ws.cols[l] = cols;
-    ws.act_off[l] = act;
-    act += in_dim(l) * nb;
-    ws.pre_off[l] = pre;
-    pre += out_dim(l) * nb;
-    ws.act_t_off[l] = act_t;
-    act_t += chunk * cols;
-    ws.grad_off[l] = grad;
-    grad += out_dim(l) * cols;
+    LayerPass& p = ws.layers[l];
+    p.w = params_.data() + weight_offsets_[l];
+    p.bias = use_bias_ ? params_.data() + bias_offsets_[l] : nullptr;
+    p.in = in_dim(l);
+    p.out = out_dim(l);
+    p.cols = RoundUp(p.in + (use_bias_ ? 1 : 0), ws.lanes);
   }
-  auto grow = [](std::vector<double>* v, size_t size) {
-    if (v->size() < size) v->resize(size);
+  // Sizes first, then pointers: both walk the same sequence of buffers.
+  auto carve = [&](auto&& take) {
+    for (LayerPass& p : ws.layers) {
+      take(&p.act, p.in * nb);
+      take(&p.pre, p.out * nb);
+      take(&p.delta, p.out * nb);
+      take(&p.act_t, chunk * p.cols);
+      take(&p.grad, p.out * p.cols);
+    }
   };
-  grow(&ws.act, act);
-  grow(&ws.pre, pre);
-  grow(&ws.delta, pre);
-  grow(&ws.act_t, act_t);
-  grow(&ws.grad, grad);
+  size_t size = kLine;
+  carve([&](double**, size_t count) { size += RoundUp(count, kLine); });
+  if (ws.buffer.size() < size) ws.buffer.resize(size);
+  double* at = ws.buffer.data();
+  at += (kLine - reinterpret_cast<uintptr_t>(at) / sizeof(double) % kLine) %
+        kLine;
+  carve([&](double** region, size_t count) {
+    *region = at;
+    at += RoundUp(count, kLine);
+  });
   if (ws.inputs.size() < chunk) ws.inputs.resize(chunk);
   return ws;
 }
@@ -218,127 +443,50 @@ Mlp::Workspace& Mlp::PrepareWorkspace(size_t n) const {
 void Mlp::ForwardChunk(const double* const* inputs, size_t n,
                        Workspace* ws) const {
   ws->n = n;
-  ws->nb = RoundUp(n, kBlock);
+  ws->nb = RoundUp(n, 2 * ws->lanes);
   const size_t nb = ws->nb;
-  double* a0 = ws->act.data() + ws->act_off[0];
+  double* a0 = ws->layers.front().act;
   for (size_t j = 0; j < input_dim(); ++j) {
     double* row = a0 + j * nb;
     for (size_t e = 0; e < n; ++e) row[e] = inputs[e][j];
     for (size_t e = n; e < nb; ++e) row[e] = 0.0;
   }
-  size_t n_layers = layer_sizes_.size();
-  for (size_t l = 0; l < n_layers; ++l) {
-    size_t in = in_dim(l);
-    size_t out = out_dim(l);
-    const double* w = params_.data() + weight_offsets_[l];
-    const double* bias =
-        use_bias_ ? params_.data() + bias_offsets_[l] : nullptr;
-    const double* a = ws->act.data() + ws->act_off[l];
-    double* z = ws->pre.data() + ws->pre_off[l];
-    size_t i = 0;
-    for (; i + 4 <= out; i += 4) {
-      for (size_t e = 0; e < nb; e += kBlock) {
-        ForwardTile<4>(w, in, bias, i, a, nb, e, z);
-      }
-    }
-    for (; i < out; ++i) {
-      for (size_t e = 0; e < nb; e += kBlock) {
-        ForwardTile<1>(w, in, bias, i, a, nb, e, z);
-      }
-    }
-    if (l + 1 == n_layers) break;
-    double* next = ws->act.data() + ws->act_off[l + 1];
-    for (size_t k = 0; k < out * nb; k += 2) {
-      v2d zk = Load2(z + k);
-      Store2(next + k, Select(zk, zk > 0.0));
-    }
-  }
-  double* d_out = ws->delta.data() + ws->pre_off[n_layers - 1];
+  ws->run(Stage::kForward, ws->chunk(), 0, 0);
+  double* d_out = ws->layers.back().delta;
   for (size_t e = n; e < nb; ++e) d_out[e] = 0.0;
 }
 
 double Mlp::ChunkOutput(const Workspace& ws, size_t e) const {
-  return ws.pre[ws.pre_off[layer_sizes_.size() - 1] + e];
+  return ws.layers.back().pre[e];
 }
 
 void Mlp::SetOutputGradient(Workspace* ws, size_t e, double g) const {
-  ws->delta[ws->pre_off[layer_sizes_.size() - 1] + e] = g;
+  ws->layers.back().delta[e] = g;
 }
 
 void Mlp::BackwardChunk(Workspace* ws) const {
-  const size_t nb = ws->nb;
-  for (size_t l = layer_sizes_.size() - 1; l > 0; --l) {
-    size_t in = in_dim(l);
-    size_t out = out_dim(l);
-    const double* w = params_.data() + weight_offsets_[l];
-    const double* d = ws->delta.data() + ws->pre_off[l];
-    const double* zprev = ws->pre.data() + ws->pre_off[l - 1];
-    double* p = ws->delta.data() + ws->pre_off[l - 1];
-    size_t j = 0;
-    for (; j + 4 <= in; j += 4) {
-      for (size_t e = 0; e < nb; e += kBlock) {
-        BackTile<4>(w, in, out, d, nb, j, e, zprev, p);
-      }
-    }
-    for (; j < in; ++j) {
-      for (size_t e = 0; e < nb; e += kBlock) {
-        BackTile<1>(w, in, out, d, nb, j, e, zprev, p);
-      }
-    }
-  }
-  for (size_t l = 0; l < layer_sizes_.size(); ++l) {
-    size_t in = in_dim(l);
-    size_t cols = ws->cols[l];
-    const double* a = ws->act.data() + ws->act_off[l];
-    double* a_t = ws->act_t.data() + ws->act_t_off[l];
-    for (size_t e = 0; e < ws->n; ++e) {
-      double* row = a_t + e * cols;
-      for (size_t j = 0; j < in; ++j) row[j] = a[j * nb + e];
-      for (size_t j = in; j < cols; ++j) row[j] = 0.0;
-      if (use_bias_) row[in] = 1.0;
-    }
-  }
+  ws->run(Stage::kBackward, ws->chunk(), 0, 0);
 }
 
 void Mlp::AccumulateGradient(Workspace* ws, size_t begin,
                              size_t end) const {
-  uint32_t idx[kChunk];
-  for (size_t l = 0; l < layer_sizes_.size(); ++l) {
-    size_t cols = ws->cols[l];
-    const double* a_t = ws->act_t.data() + ws->act_t_off[l];
-    for (size_t i = 0; i < out_dim(l); ++i) {
-      const double* d = ws->delta.data() + ws->pre_off[l] + i * ws->nb;
-      size_t k = 0;
-      for (size_t e = begin; e < end; ++e) {
-        idx[k] = static_cast<uint32_t>(e);
-        k += d[e] != 0.0;
-      }
-      if (k == 0) continue;
-      double* g = ws->grad.data() + ws->grad_off[l] + i * cols;
-      size_t j = 0;
-      for (; j + 16 <= cols; j += 16) GradTile<8>(d, idx, k, a_t, cols, j, g);
-      for (; j + 8 <= cols; j += 8) GradTile<4>(d, idx, k, a_t, cols, j, g);
-      for (; j < cols; j += 2) GradTile<1>(d, idx, k, a_t, cols, j, g);
-    }
-  }
+  ws->run(Stage::kAccumulate, ws->chunk(), begin, end);
 }
 
 void Mlp::ZeroGradient(Workspace* ws) const {
-  size_t last = layer_sizes_.size() - 1;
-  size_t size = ws->grad_off[last] + out_dim(last) * ws->cols[last];
-  std::fill(ws->grad.begin(), ws->grad.begin() + size, 0.0);
+  for (const LayerPass& p : ws->layers) {
+    std::fill(p.grad, p.grad + p.out * p.cols, 0.0);
+  }
 }
 
 void Mlp::ScatterGradient(const Workspace& ws, Vector* grad) const {
   grad->resize(params_.size());
   for (size_t l = 0; l < layer_sizes_.size(); ++l) {
-    size_t in = in_dim(l);
-    size_t cols = ws.cols[l];
-    const double* g = ws.grad.data() + ws.grad_off[l];
-    for (size_t i = 0; i < out_dim(l); ++i) {
-      std::copy(g + i * cols, g + i * cols + in,
-                grad->begin() + weight_offsets_[l] + i * in);
-      if (use_bias_) (*grad)[bias_offsets_[l] + i] = g[i * cols + in];
+    const LayerPass& p = ws.layers[l];
+    for (size_t i = 0; i < p.out; ++i) {
+      const double* g = p.grad + i * p.cols;
+      std::copy(g, g + p.in, grad->begin() + weight_offsets_[l] + i * p.in);
+      if (use_bias_) (*grad)[bias_offsets_[l] + i] = g[p.in];
     }
   }
 }

@@ -24,10 +24,18 @@
 //   - loss            the output gradient of example e is 2·(S(x_e) − t_e);
 //     the L2 term 2·l2·θ is added after the example sums.
 //
-// No FMA contraction or reassociation is involved: the kernel uses plain
-// 2-lane double vectors (SSE2 on x86-64) and the build keeps
-// -ffp-contract=off (ISO C++ mode). Scratch lives in a thread-local
-// workspace, so copies of a network share nothing and cost nothing extra.
+// The kernel is one template over its lane count L: vectors of L doubles,
+// forward/backward tiles of 2·L inputs, gradient rows padded to a multiple
+// of L columns. Each lane carries one input's (or one weight's) sum in the
+// order above, so L changes the speed and never a bit. L is 8 (AVX-512F),
+// 4 (AVX2) or 2 (SSE2, and the only width off x86-64): the widest this CPU
+// runs (SimdDoubleLanes, common/cpu.h), narrowed for passes too small to
+// fill its tiles.
+// Every product is rounded before it is added: the library is built with
+// -ffp-contract=off (src/CMakeLists.txt), since GCC would otherwise fuse
+// them into FMAs wherever the target has them. Scratch lives in a
+// thread-local workspace, so copies of a network share nothing and cost
+// nothing extra.
 
 #ifndef LACB_NN_MLP_H_
 #define LACB_NN_MLP_H_
@@ -61,6 +69,11 @@ struct Example {
   Vector x;
   double target = 0.0;
 };
+
+/// \brief Test seam: runs every later pass, on every thread, at exactly
+/// `lanes` (2, 4 or 8); 0 restores the per-CPU, per-pass choice. A width
+/// above SimdDoubleLanes() (common/cpu.h) is refused.
+Status ForceKernelLanesForTesting(size_t lanes);
 
 /// \brief Scalar-output multi-layer perceptron.
 class Mlp {
@@ -134,9 +147,8 @@ class Mlp {
   size_t out_dim(size_t layer) const;
 
   // Batched kernel over a thread-local Workspace (mlp.cc). A pass covers at
-  // most kChunk inputs; `inputs[e]` points at input_dim() doubles.
+  // most 32 inputs (a chunk); `inputs[e]` points at input_dim() doubles.
   struct Workspace;
-  static constexpr size_t kChunk = 32;
   Workspace& PrepareWorkspace(size_t n) const;
   void ForwardChunk(const double* const* inputs, size_t n,
                     Workspace* ws) const;

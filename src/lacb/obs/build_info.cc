@@ -3,6 +3,8 @@
 #include <chrono>
 #include <sstream>
 
+#include "lacb/common/cpu.h"
+
 namespace lacb::obs {
 
 namespace {
@@ -61,6 +63,7 @@ const BuildInfo& GetBuildInfo() {
     b.version = kVersion;
     b.commit = LACB_BUILD_COMMIT;
     b.compiler = CompilerString();
+    b.simd = SimdTierName();
     return b;
   }();
   return info;
@@ -76,11 +79,12 @@ std::string RenderBuildInfoMetrics() {
   const BuildInfo& info = GetBuildInfo();
   std::ostringstream out;
   out << "# HELP lacb_build_info Build identity (version, git commit, "
-         "compiler) as constant-1 labels.\n";
+         "compiler, SIMD tier) as constant-1 labels.\n";
   out << "# TYPE lacb_build_info gauge\n";
   out << "lacb_build_info{version=\"" << EscapeLabel(info.version)
       << "\",commit=\"" << EscapeLabel(info.commit) << "\",compiler=\""
-      << EscapeLabel(info.compiler) << "\"} 1\n";
+      << EscapeLabel(info.compiler) << "\",simd=\"" << EscapeLabel(info.simd)
+      << "\"} 1\n";
   out << "# HELP lacb_uptime_seconds Seconds since process start.\n";
   out << "# TYPE lacb_uptime_seconds gauge\n";
   out << "lacb_uptime_seconds " << UptimeSeconds() << "\n";

@@ -1,8 +1,9 @@
 // Build identity and process uptime for the Prometheus exposition.
 //
 // `lacb_build_info` is the conventional info-style metric: a constant 1
-// whose labels carry the version / commit / compiler, so dashboards can
-// join any series against the binary that produced it. `lacb_uptime_seconds`
+// whose labels carry the version / commit / compiler / SIMD tier, so
+// dashboards can join any series against the binary (and the kernel tier
+// the host picked) that produced it. `lacb_uptime_seconds`
 // measures from process start (static initialization), not first scrape,
 // so the very first scrape already reports a truthful age.
 
@@ -18,6 +19,7 @@ struct BuildInfo {
   std::string version;
   std::string commit;    // short git hash, or "unknown" outside a checkout
   std::string compiler;  // e.g. "gcc 13.2.0"
+  std::string simd;      // the MLP kernel tier this CPU runs, e.g. "avx512f"
 };
 
 /// \brief The identity baked in at compile time.

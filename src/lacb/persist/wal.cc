@@ -99,14 +99,14 @@ Status WalWriter::AppendBatch(uint64_t token, uint64_t day,
                               uint32_t worker_index,
                               const std::vector<sim::Request>& requests,
                               const std::vector<int64_t>& assignment,
-                              bool solved) {
+                              SolveOutcome solve) {
   ByteWriter w;
   w.U64(token);
   w.U64(day);
   w.U32(worker_index);
   WriteRequests(&w, requests);
   w.VecI64(assignment);
-  w.Bool(solved);
+  w.U8(static_cast<uint8_t>(solve));
   return AppendRecord(WalRecordType::kBatch, w.bytes());
 }
 
@@ -127,11 +127,11 @@ Result<WalRecord> DecodeWalRecord(std::string_view body) {
       LACB_ASSIGN_OR_RETURN(rec.worker_index, payload.U32());
       LACB_ASSIGN_OR_RETURN(rec.requests, ReadRequests(&payload));
       LACB_ASSIGN_OR_RETURN(rec.assignment, payload.VecI64());
-      LACB_ASSIGN_OR_RETURN(uint8_t solved, payload.U8());
-      if (solved > 1) {
-        return Status::InvalidArgument("WAL batch record: bad solved flag");
+      LACB_ASSIGN_OR_RETURN(uint8_t solve, payload.U8());
+      if (solve > static_cast<uint8_t>(SolveOutcome::kSkipped)) {
+        return Status::InvalidArgument("WAL batch record: bad solve outcome");
       }
-      rec.solved = solved == 1;
+      rec.solve = static_cast<SolveOutcome>(solve);
       break;
     }
     default:
@@ -161,7 +161,9 @@ Result<WalRecovery> RecoverWal(const std::string& path) {
                                                          sizeof(kWalMagic));
   LACB_ASSIGN_OR_RETURN(uint32_t version, header.U32());
   if (version != kWalVersion) {
-    return Status::InvalidArgument("unsupported WAL version: " + path);
+    return Status::InvalidArgument("unsupported WAL version " +
+                                   std::to_string(version) + " (want " +
+                                   std::to_string(kWalVersion) + "): " + path);
   }
   WalRecovery out;
   LACB_ASSIGN_OR_RETURN(out.checkpoint_seq, header.U64());

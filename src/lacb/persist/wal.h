@@ -31,13 +31,22 @@
 namespace lacb::persist {
 
 inline constexpr char kWalMagic[8] = {'L', 'A', 'C', 'B', 'W', 'A', 'L', '0'};
-inline constexpr uint32_t kWalVersion = 2;
+inline constexpr uint32_t kWalVersion = 3;
 
 enum class WalRecordType : uint8_t {
   kDayOpen = 1,   // payload: u64 day
   kBatch = 2,     // payload: u64 token, u64 day, u32 worker_index,
-                  //          requests, assignment (VecI64), bool solved
+                  //          requests, assignment (VecI64), u8 solve
   kDayClose = 3,  // payload: u64 day
+};
+
+/// \brief How a served batch's assignment came about.
+enum class SolveOutcome : uint8_t {
+  kSolved = 0,   // the policy solve, within its budget
+  kOverran = 1,  // the solve ran past its budget; the greedy fallback
+                 // committed (the solve's replica state changes stand)
+  kSkipped = 2,  // an injected deadline abort skipped the solve outright;
+                 // the greedy fallback committed
 };
 
 struct WalRecord {
@@ -48,14 +57,14 @@ struct WalRecord {
   uint32_t worker_index = 0;
   std::vector<sim::Request> requests;
   std::vector<int64_t> assignment;
-  // False when the batch's policy solve was skipped (an injected deadline
-  // abort committed the greedy fallback): replay must not run it either.
-  bool solved = true;
+  // Replay runs the solve unless it was skipped, and compares its result
+  // with `assignment` only when the live solve was the one committed.
+  SolveOutcome solve = SolveOutcome::kSolved;
 };
 
 /// \brief Decodes one record body (type byte + payload, the CRC-covered
-/// bytes). A truncated payload, trailing bytes, an unknown type or a flag
-/// byte other than 0/1 is refused as a Status.
+/// bytes). A truncated payload, trailing bytes, an unknown type or an
+/// unknown solve outcome is refused as a Status.
 Result<WalRecord> DecodeWalRecord(std::string_view body);
 
 /// \brief Append-only WAL writer. Not thread-safe; the serving layer
@@ -76,7 +85,7 @@ class WalWriter {
   Status AppendBatch(uint64_t token, uint64_t day, uint32_t worker_index,
                      const std::vector<sim::Request>& requests,
                      const std::vector<int64_t>& assignment,
-                     bool solved = true);
+                     SolveOutcome solve = SolveOutcome::kSolved);
 
   /// \brief Observer of every durable record, invoked after the local
   /// write (and fsync, when enabled) succeeds with the exact framed bytes
@@ -117,7 +126,8 @@ struct WalRecovery {
 /// \brief Reads a WAL, validating CRCs record by record; stops at the
 /// first invalid record — a CRC mismatch (torn tail) or a body
 /// DecodeWalRecord refuses — and reports how much was valid. A missing file
-/// is NotFound; a bad header or version is InvalidArgument.
+/// is NotFound; a bad header or any version but kWalVersion (an older log
+/// included) is InvalidArgument.
 Result<WalRecovery> RecoverWal(const std::string& path);
 
 }  // namespace lacb::persist

@@ -808,9 +808,8 @@ Status AssignmentService::ProcessBatch(size_t worker_index,
   bool owner = false;
   bool committed = false;
   sim::ExternalCommitOutcome commit;
-  LACB_RETURN_NOT_OK(CommitWithRetry(worker_index, batch, assignment,
-                                     solve != SolveOutcome::kSkipped, &owner,
-                                     &committed, &commit));
+  LACB_RETURN_NOT_OK(CommitWithRetry(worker_index, batch, assignment, solve,
+                                     &owner, &committed, &commit));
   if (!owner) {
     // A twin claimed the terminal first: it did (or will do) the
     // disposition and the retire; this copy evaporates.
@@ -930,7 +929,7 @@ Result<AssignmentService::SolveOutcome> AssignmentService::SolveBatch(
 
 Status AssignmentService::CommitWithRetry(
     size_t worker_index, const MicroBatch& batch,
-    const std::vector<int64_t>& assignment, bool solved, bool* owner,
+    const std::vector<int64_t>& assignment, SolveOutcome solve, bool* owner,
     bool* committed, sim::ExternalCommitOutcome* outcome) {
   *owner = false;
   *committed = false;
@@ -954,7 +953,7 @@ Status AssignmentService::CommitWithRetry(
         // lost *ack*: the commit applied, so it is durable state.
         LACB_RETURN_NOT_OK(ApplyCommitLocked(
             batch.token, static_cast<uint32_t>(worker_index), batch.requests,
-            assignment, solved, /*log_wal=*/true, outcome));
+            assignment, solve, /*log_wal=*/true, outcome));
         if (fault.action != FaultAction::kTransientErrorAfterApply) {
           *owner = TryClaimTerminalLocked(batch.token);
           *committed = true;
@@ -1001,7 +1000,7 @@ Status AssignmentService::CommitWithRetry(
 Status AssignmentService::ApplyCommitLocked(
     uint64_t token, uint32_t worker_index,
     const std::vector<sim::Request>& requests,
-    const std::vector<int64_t>& assignment, bool solved, bool log_wal,
+    const std::vector<int64_t>& assignment, SolveOutcome solve, bool log_wal,
     sim::ExternalCommitOutcome* outcome) {
   LACB_ASSIGN_OR_RETURN(
       *outcome, platform_->CommitExternalBatch(requests, assignment, token));
@@ -1012,7 +1011,7 @@ Status AssignmentService::ApplyCommitLocked(
     // env_mu_ critical section).
     LACB_RETURN_NOT_OK(JournalLocked([&](persist::WalWriter& wal) {
       return wal.AppendBatch(token, day, worker_index, requests, assignment,
-                             solved);
+                             solve);
     }));
     commits_applied_.fetch_add(1, std::memory_order_acq_rel);
     commits_since_ckpt_.fetch_add(1, std::memory_order_acq_rel);
@@ -1578,16 +1577,19 @@ Status AssignmentService::ReplayWalRecords(
         // — then commit the *recorded* assignment, which is what was
         // acknowledged. A batch whose live solve was skipped is not solved
         // here either; building its input still advances the batch index.
+        // An overrun's solve ran live (its state changes stand) but the
+        // greedy fallback committed, so only a kSolved result is compared.
         BatchStage stage;
         BuildBatchInput(record.requests, &stage);
-        if (record.solved) {
+        if (record.solve != SolveOutcome::kSkipped) {
           Result<std::vector<int64_t>> recomputed =
               replicas_[record.worker_index % replicas_.size()]->AssignBatch(
                   stage.input);
           if (recomputed.ok()) {
             SanitizeAssignment(stage.active_mask, &*recomputed);
           }
-          if (!recomputed.ok() || *recomputed != record.assignment) {
+          if (!recomputed.ok() || (record.solve == SolveOutcome::kSolved &&
+                                   *recomputed != record.assignment)) {
             // Divergence means the replica's restored state does not
             // reproduce the journaled decision. The recorded assignment
             // still commits (it is the acknowledged truth), but the
@@ -1600,7 +1602,7 @@ Status AssignmentService::ReplayWalRecords(
           std::lock_guard<std::mutex> lock(env_mu_);
           LACB_RETURN_NOT_OK(ApplyCommitLocked(
               record.token, record.worker_index, record.requests,
-              record.assignment, record.solved, /*log_wal=*/false,
+              record.assignment, record.solve, /*log_wal=*/false,
               &outcome));
         }
         // Re-derive the batch's disposition for coordinator

@@ -430,25 +430,26 @@ class AssignmentService {
   /// builds the utility matrix and draws the next per-day batch index.
   void BuildBatchInput(const std::vector<sim::Request>& requests,
                        BatchStage* stage);
-  /// How a batch's assignment came about: the policy solve, or the greedy
-  /// capacity-aware fallback after the solve overran its budget (measured:
-  /// the solve ran, its result is discarded) or was skipped outright (an
-  /// injected deadline abort). Only a skipped solve is journaled unsolved.
-  enum class SolveOutcome { kSolved, kOverran, kSkipped };
+  /// How a batch's assignment came about (journaled with the batch): the
+  /// policy solve, or the greedy capacity-aware fallback after the solve
+  /// overran its budget (measured: the solve ran, its result is discarded)
+  /// or was skipped outright (an injected deadline abort).
+  using SolveOutcome = persist::SolveOutcome;
   /// Solves within options_.solve_budget, degrading to the greedy
   /// capacity-aware fallback on an overrun.
   Result<SolveOutcome> SolveBatch(size_t worker_index,
                                   const policy::BatchInput& input,
                                   std::vector<int64_t>* assignment);
   /// Commits to the platform. On the token's first apply: journals the
-  /// batch with its `solved` flag and counts a live commit (only when
+  /// batch with its solve outcome and counts a live commit (only when
   /// `log_wal`: replay re-applies journaled batches), advances the churn
   /// timeline to the day's new commit count and charges the store.
   /// Requires env_mu_ held.
   Status ApplyCommitLocked(uint64_t token, uint32_t worker_index,
                            const std::vector<sim::Request>& requests,
-                           const std::vector<int64_t>& assignment, bool solved,
-                           bool log_wal, sim::ExternalCommitOutcome* outcome);
+                           const std::vector<int64_t>& assignment,
+                           SolveOutcome solve, bool log_wal,
+                           sim::ExternalCommitOutcome* outcome);
   /// The owner's batch, close-cause, size and attribution instruments.
   void RecordBatchClose(const MicroBatch& batch,
                         std::chrono::steady_clock::time_point picked_up,
@@ -502,8 +503,8 @@ class AssignmentService {
   /// of a re-driven batch does); when it did, `*committed` distinguishes
   /// a successful commit (`*outcome` valid) from retry exhaustion.
   Status CommitWithRetry(size_t worker_index, const MicroBatch& batch,
-                         const std::vector<int64_t>& assignment, bool solved,
-                         bool* owner, bool* committed,
+                         const std::vector<int64_t>& assignment,
+                         SolveOutcome solve, bool* owner, bool* committed,
                          sim::ExternalCommitOutcome* outcome);
   /// Claims the terminal of `token`; true exactly once per token.
   /// Requires env_mu_ held.

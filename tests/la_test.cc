@@ -1,9 +1,12 @@
 // Unit tests for lacb/la: Matrix ops, Cholesky, Sherman–Morrison inverse.
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "lacb/common/rng.h"
 #include "lacb/la/linalg.h"
 #include "lacb/la/matrix.h"
 
@@ -211,6 +214,37 @@ TEST(DiagonalInverseTest, UpperBoundsFullQuadraticForm) {
   }
   // Along the repeated direction the full matrix shrinks faster.
   EXPECT_LT(sm->QuadraticForm(g).value(), di->QuadraticForm(g).value() + 1e-9);
+}
+
+TEST(DiagonalInverseTest, QuadraticFormsMatchOneAtATimeBytes) {
+  Rng rng(11);
+  for (size_t d : {1, 2, 7, 1377}) {
+    auto di = DiagonalInverse::Create(d, 0.001);
+    ASSERT_TRUE(di.ok());
+    for (int i = 0; i < 5; ++i) {
+      Vector g(d);
+      for (double& v : g) v = rng.Normal();
+      ASSERT_TRUE(di->RankOneUpdate(g).ok());
+    }
+    for (size_t count : {0, 1, 2, 3, 4, 5, 6, 9}) {
+      std::vector<Vector> gs(count, Vector(d));
+      for (Vector& g : gs) {
+        for (double& v : g) v = rng.Normal() * 1e-3;
+      }
+      Vector got;
+      ASSERT_TRUE(di->QuadraticForms(gs, &got).ok());
+      ASSERT_EQ(got.size(), count);
+      for (size_t k = 0; k < count; ++k) {
+        double want = di->QuadraticForm(gs[k]).value();
+        EXPECT_EQ(std::memcmp(&got[k], &want, sizeof(double)), 0)
+            << "dim " << d << " count " << count << " k " << k;
+      }
+    }
+  }
+  auto di = DiagonalInverse::Create(3, 1.0);
+  ASSERT_TRUE(di.ok());
+  Vector out;
+  EXPECT_FALSE(di->QuadraticForms({Vector(3), Vector(2)}, &out).ok());
 }
 
 }  // namespace

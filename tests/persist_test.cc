@@ -207,7 +207,7 @@ TEST(WalTest, CorruptRecordStopsAtCrcMismatch) {
   ASSERT_EQ(rec->records.size(), 1u);
 }
 
-TEST(WalTest, SolvedFlagRoundTripsAndTruncatedBodiesAreRefused) {
+TEST(WalTest, SolveOutcomeRoundTripsAndTruncatedBodiesAreRefused) {
   std::string dir = TempDirFor("wal_solved");
   std::filesystem::create_directories(dir);
   std::string path = dir + "/wal-1.log";
@@ -222,33 +222,41 @@ TEST(WalTest, SolvedFlagRoundTripsAndTruncatedBodiesAreRefused) {
     ASSERT_TRUE((*wal)->AppendBatch(5, 0, 1, {WalRequest(1)}, {2}).ok());
     ASSERT_TRUE((*wal)
                     ->AppendBatch(6, 0, 0, {WalRequest(2)}, {-1},
-                                  /*solved=*/false)
+                                  persist::SolveOutcome::kSkipped)
+                    .ok());
+    ASSERT_TRUE((*wal)
+                    ->AppendBatch(7, 0, 0, {WalRequest(3)}, {1},
+                                  persist::SolveOutcome::kOverran)
                     .ok());
   }
   auto rec = persist::RecoverWal(path);
   ASSERT_TRUE(rec.ok());
   EXPECT_FALSE(rec->truncated_torn_tail);
-  ASSERT_EQ(rec->records.size(), 2u);
-  EXPECT_TRUE(rec->records[0].solved);
-  EXPECT_FALSE(rec->records[1].solved);
+  ASSERT_EQ(rec->records.size(), 3u);
+  EXPECT_EQ(rec->records[0].solve, persist::SolveOutcome::kSolved);
+  EXPECT_EQ(rec->records[1].solve, persist::SolveOutcome::kSkipped);
+  EXPECT_EQ(rec->records[2].solve, persist::SolveOutcome::kOverran);
 
   // Every strict prefix of a body is refused as a Status, never read past.
-  ASSERT_EQ(bodies.size(), 2u);
+  ASSERT_EQ(bodies.size(), 3u);
   ASSERT_TRUE(persist::DecodeWalRecord(bodies[1]).ok());
   for (size_t len = 0; len < bodies[1].size(); ++len) {
     EXPECT_FALSE(persist::DecodeWalRecord(bodies[1].substr(0, len)).ok())
         << "prefix of " << len << " bytes";
   }
-  // So are trailing bytes, a flag byte other than 0/1 and unknown types.
+  // So are trailing bytes, an unknown solve outcome and unknown types.
   EXPECT_FALSE(persist::DecodeWalRecord(bodies[1] + '\0').ok());
-  std::string bad_flag = bodies[1];
-  bad_flag.back() = 7;
-  EXPECT_FALSE(persist::DecodeWalRecord(bad_flag).ok());
+  std::string bad_outcome = bodies[1];
+  for (char b : {3, 7}) {
+    bad_outcome.back() = b;
+    EXPECT_FALSE(persist::DecodeWalRecord(bad_outcome).ok()) << int{b};
+  }
   std::string unknown = bodies[1];
   unknown[0] = 9;
   EXPECT_FALSE(persist::DecodeWalRecord(unknown).ok());
 
-  // A CRC-valid record whose body lacks the flag ends the valid log there.
+  // A CRC-valid record whose body lacks the outcome ends the valid log
+  // there.
   std::string short_body = bodies[0].substr(0, bodies[0].size() - 1);
   persist::ByteWriter frame;
   frame.U32(static_cast<uint32_t>(short_body.size()));
@@ -262,7 +270,29 @@ TEST(WalTest, SolvedFlagRoundTripsAndTruncatedBodiesAreRefused) {
   auto cut = persist::RecoverWal(path);
   ASSERT_TRUE(cut.ok());
   EXPECT_TRUE(cut->truncated_torn_tail);
-  EXPECT_EQ(cut->records.size(), 2u);
+  EXPECT_EQ(cut->records.size(), 3u);
+}
+
+TEST(WalTest, OlderVersionIsRefusedAtTheHeader) {
+  // A version-2 log journaled a bool `solved` where version 3 journals the
+  // solve outcome; its batch records would misread, so the header refuses
+  // it before any record is decoded.
+  std::string dir = TempDirFor("wal_v2");
+  std::filesystem::create_directories(dir);
+  std::string path = dir + "/wal-1.log";
+  persist::ByteWriter w;
+  for (char c : persist::kWalMagic) w.U8(static_cast<uint8_t>(c));
+  w.U32(2);
+  w.U64(1);
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(w.bytes().data(), static_cast<std::streamsize>(w.bytes().size()));
+  }
+  auto old = persist::RecoverWal(path);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(old.status().ToString().find("version 2"), std::string::npos)
+      << old.status().ToString();
 }
 
 TEST(WalTest, MissingFileIsNotFoundBadHeaderIsInvalid) {
@@ -491,16 +521,21 @@ sim::DatasetConfig RecoveryConfig() {
   return cfg;
 }
 
-// `solve_over_budget_rate` > 0 injects deadline aborts: those batches skip
-// the policy solve and commit the greedy fallback.
+// How every batch's solve degrades to the greedy fallback: never, skipped
+// outright by an injected deadline abort (no solve runs), or measured past a
+// 1 µs budget (the solve runs, its result is discarded).
+enum class Degrade { kNone, kSkipEvery, kOverrunEvery };
+
 serve::ServeOptions RecoveryServeOptions(
     const std::string& checkpoint_dir, uint64_t kill_after_commits,
     std::shared_ptr<const scenario::CompiledScenario> churn = nullptr,
-    double solve_over_budget_rate = 0.0) {
+    Degrade degrade = Degrade::kNone) {
   serve::ServeOptions opts;
-  if (solve_over_budget_rate > 0.0) {
+  if (degrade == Degrade::kSkipEvery) {
     opts.solve_budget = std::chrono::hours(1);  // never overrun for real
-    opts.fault_plan.solve_over_budget_rate = solve_over_budget_rate;
+    opts.fault_plan.solve_over_budget_rate = 1.0;
+  } else if (degrade == Degrade::kOverrunEvery) {
+    opts.solve_budget = std::chrono::microseconds(1);
   }
   opts.scenario = std::move(churn);
   opts.num_workers = 1;
@@ -564,11 +599,10 @@ Status DriveToEnd(serve::AssignmentService* service, size_t start_day,
 RunLedger UninterruptedBaseline(
     const sim::DatasetConfig& cfg,
     std::shared_ptr<const scenario::CompiledScenario> churn = nullptr,
-    double solve_over_budget_rate = 0.0) {
+    Degrade degrade = Degrade::kNone) {
   obs::ScopedTelemetry telemetry;
   auto service = serve::AssignmentService::Create(
-      cfg, RecoveryFactory(cfg),
-      RecoveryServeOptions("", 0, churn, solve_over_budget_rate));
+      cfg, RecoveryFactory(cfg), RecoveryServeOptions("", 0, churn, degrade));
   EXPECT_TRUE(service.ok());
   EXPECT_TRUE((*service)->Start().ok());
   RunLedger ledger;
@@ -584,12 +618,11 @@ std::vector<double> RunUntilKilled(
     const sim::DatasetConfig& cfg, const std::string& dir,
     uint64_t kill_after_commits,
     std::shared_ptr<const scenario::CompiledScenario> churn = nullptr,
-    double solve_over_budget_rate = 0.0) {
+    Degrade degrade = Degrade::kNone) {
   obs::ScopedTelemetry telemetry;
   auto service = serve::AssignmentService::Create(
       cfg, RecoveryFactory(cfg),
-      RecoveryServeOptions(dir, kill_after_commits, churn,
-                           solve_over_budget_rate));
+      RecoveryServeOptions(dir, kill_after_commits, churn, degrade));
   EXPECT_TRUE(service.ok());
   EXPECT_TRUE((*service)->Start().ok());
   EXPECT_FALSE((*service)->restore_info().restored);
@@ -824,24 +857,24 @@ TEST(CrashRecoveryTest, KillAndRecoverUnderChurnIsBitIdentical) {
   }
 }
 
-TEST(CrashRecoveryTest, SkippedSolvesAreNotReSolvedOnReplay) {
-  // Every batch's solve is an injected deadline abort: the live process
-  // never runs LACB-Opt's batch solve (no value-function backups, no CBS
-  // draws) and commits the greedy fallback. The WAL journals those batches
-  // unsolved, so replay must not run the solve either — otherwise the
-  // restored replica advances past the one that died.
+// Kills a run whose every batch degraded to the greedy fallback after 27
+// commits and restores it: replay must end in the uninterrupted run's
+// replica and platform state without flagging any divergence.
+void ExpectDegradedRunRecoversBitIdentically(Degrade degrade,
+                                             const std::string& name) {
   sim::DatasetConfig cfg = RecoveryConfig();
-  RunLedger expected = UninterruptedBaseline(cfg, nullptr, 1.0);
+  RunLedger expected = UninterruptedBaseline(cfg, nullptr, degrade);
   ASSERT_EQ(expected.daily_utility.size(), 3u);
 
-  std::string dir = TempDirFor("skipped_solves_recover");
-  std::vector<double> before_kill = RunUntilKilled(cfg, dir, 27, nullptr, 1.0);
+  std::string dir = TempDirFor(name);
+  std::vector<double> before_kill =
+      RunUntilKilled(cfg, dir, 27, nullptr, degrade);
   ASSERT_EQ(before_kill.size(), 1u);
   EXPECT_DOUBLE_EQ(before_kill[0], expected.daily_utility[0]);
 
   obs::ScopedTelemetry telemetry;
   auto service = serve::AssignmentService::Create(
-      cfg, RecoveryFactory(cfg), RecoveryServeOptions(dir, 0, nullptr, 1.0));
+      cfg, RecoveryFactory(cfg), RecoveryServeOptions(dir, 0, nullptr, degrade));
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE((*service)->Start().ok()) << "warm restart failed";
   const serve::RestoreInfo& info = (*service)->restore_info();
@@ -866,6 +899,26 @@ TEST(CrashRecoveryTest, SkippedSolvesAreNotReSolvedOnReplay) {
   EXPECT_DOUBLE_EQ(resumed.daily_utility[1], expected.daily_utility[2]);
   EXPECT_TRUE(resumed.platform_state == expected.platform_state);
   EXPECT_TRUE(resumed.replica_state == expected.replica_state);
+}
+
+TEST(CrashRecoveryTest, SkippedSolvesAreNotReSolvedOnReplay) {
+  // Every batch's solve is an injected deadline abort: the live process
+  // never runs LACB-Opt's batch solve (no value-function backups, no CBS
+  // draws) and commits the greedy fallback. The WAL journals those batches
+  // skipped, so replay must not run the solve either — otherwise the
+  // restored replica advances past the one that died.
+  ExpectDegradedRunRecoversBitIdentically(Degrade::kSkipEvery,
+                                          "skipped_solves_recover");
+}
+
+TEST(CrashRecoveryTest, OverrunSolvesReplayWithoutDivergence) {
+  // Every solve runs past a 1 µs budget: the live process runs the solve
+  // (its replica state changes stand) and commits the greedy fallback. The
+  // WAL journals those batches overran, so replay re-runs the solve to keep
+  // the replica in step but does not compare it with the committed
+  // fallback — a comparison that would flag every such batch as drift.
+  ExpectDegradedRunRecoversBitIdentically(Degrade::kOverrunEvery,
+                                          "overrun_solves_recover");
 }
 
 TEST(CrashRecoveryTest, DisabledPersistenceKeepsServePathUnchanged) {

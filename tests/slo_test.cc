@@ -7,6 +7,7 @@
 #include <chrono>
 #include <string>
 
+#include "lacb/common/cpu.h"
 #include "lacb/obs/build_info.h"
 #include "lacb/obs/slo.h"
 
@@ -204,11 +205,13 @@ TEST(BuildInfoTest, ExpositionPreambleCarriesIdentity) {
   EXPECT_FALSE(info.version.empty());
   EXPECT_FALSE(info.commit.empty());
   EXPECT_FALSE(info.compiler.empty());
+  EXPECT_EQ(info.simd, SimdTierName());
   EXPECT_GT(UptimeSeconds(), 0.0);
 
   std::string text = RenderBuildInfoMetrics();
   EXPECT_NE(text.find("lacb_build_info{"), std::string::npos);
   EXPECT_NE(text.find("version=\"" + info.version + "\""), std::string::npos);
+  EXPECT_NE(text.find("simd=\"" + info.simd + "\""), std::string::npos);
   EXPECT_NE(text.find("lacb_uptime_seconds"), std::string::npos);
   EXPECT_EQ(text.back(), '\n');
 }
