@@ -33,6 +33,15 @@ class Matrix {
   /// \brief Matrix with i.i.d. Gaussian entries.
   static Matrix Gaussian(size_t rows, size_t cols, double stddev, Rng* rng);
 
+  /// \brief Reshapes to rows × cols for a caller that overwrites every
+  /// entry: storage is reused, so no allocation once the matrix has held
+  /// that many entries; entries kept from before are not reset.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }

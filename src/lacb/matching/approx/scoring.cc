@@ -19,7 +19,7 @@ Status CheckEligible(const la::Matrix& utility,
 Status GatherColumns(const la::Matrix& utility,
                      const std::vector<size_t>& eligible, la::Matrix* out) {
   LACB_RETURN_NOT_OK(CheckEligible(utility, eligible));
-  *out = la::Matrix(utility.rows(), eligible.size());
+  out->Resize(utility.rows(), eligible.size());
   const size_t m = eligible.size();
   const size_t* idx = eligible.data();
   for (size_t r = 0; r < utility.rows(); ++r) {
@@ -34,7 +34,7 @@ Status GatherColumnsTransposed(const la::Matrix& utility,
                                const std::vector<size_t>& eligible,
                                la::Matrix* out) {
   LACB_RETURN_NOT_OK(CheckEligible(utility, eligible));
-  *out = la::Matrix(eligible.size(), utility.rows());
+  out->Resize(eligible.size(), utility.rows());
   const size_t n = utility.rows();
   for (size_t i = 0; i < eligible.size(); ++i) {
     const size_t c = eligible[i];
@@ -54,7 +54,7 @@ Status GatherRefinedColumns(const la::Matrix& utility,
         "column_delta must have one entry per eligible column");
   }
   LACB_RETURN_NOT_OK(CheckEligible(utility, eligible));
-  *out = la::Matrix(utility.rows(), eligible.size());
+  out->Resize(utility.rows(), eligible.size());
   const size_t m = eligible.size();
   const size_t* idx = eligible.data();
   const double* delta = column_delta.data();

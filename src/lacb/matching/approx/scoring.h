@@ -44,7 +44,9 @@ struct ScoreMatrix {
 };
 
 /// \brief Gathers eligible columns: out(r, i) = utility(r, eligible[i]).
-/// OutOfRange when an eligible column exceeds the utility width.
+/// OutOfRange when an eligible column exceeds the utility width. Every
+/// gather here overwrites *out whole and reuses its storage, so a caller
+/// that keeps *out across batches allocates nothing once it is sized.
 Status GatherColumns(const la::Matrix& utility,
                      const std::vector<size_t>& eligible, la::Matrix* out);
 

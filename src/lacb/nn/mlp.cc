@@ -1,14 +1,13 @@
 #include "lacb/nn/mlp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
 #include "lacb/common/cpu.h"
+#include "lacb/common/simd.h"
 
 namespace lacb::nn {
 
@@ -69,28 +68,10 @@ Result<Mlp> Mlp::Create(const MlpConfig& config, Rng* rng) {
 
 namespace {
 
-#define LACB_TILE [[gnu::always_inline]] inline
+using simd::Lanes;
+using simd::Load;
+using simd::Store;
 
-// L double lanes per vector: SSE2 (L = 2), AVX2 (4) or AVX-512F (8) on
-// x86-64; NEON or scalar pairs for L = 2 elsewhere. Comparisons yield
-// all-ones/all-zeros 64-bit lane masks.
-template <int L>
-struct Lanes {
-  typedef double V __attribute__((vector_size(8 * L)));
-  typedef int64_t M __attribute__((vector_size(8 * L)));
-};
-
-// Vectors travel by reference only: a vector wider than 16 bytes passed or
-// returned by value has an ISA-dependent ABI (GCC's -Wpsabi), and these
-// helpers are compiled for the baseline ISA before being inlined.
-template <class V>
-LACB_TILE void Load(V& v, const double* p) {
-  std::memcpy(&v, p, sizeof(v));
-}
-template <class V>
-LACB_TILE void Store(double* p, const V& v) {
-  std::memcpy(p, &v, sizeof(v));
-}
 // x in the lanes where m is set, +0.0 elsewhere. Adding +0.0 to a running
 // sum that started at +0.0 never changes it (such a sum is never −0.0), so
 // a masked-out term is exactly a skipped one.
@@ -331,12 +312,12 @@ void RunStage2(Stage s, const Chunk& c, size_t begin, size_t end) {
   RunStage<2>(s, c, begin, end);
 }
 #if defined(__x86_64__)
-[[gnu::target("avx2")]] void RunStage4(Stage s, const Chunk& c, size_t begin,
-                                       size_t end) {
+[[LACB_TARGET_LANES4]] void RunStage4(Stage s, const Chunk& c, size_t begin,
+                                     size_t end) {
   RunStage<4>(s, c, begin, end);
 }
-[[gnu::target("avx512f")]] void RunStage8(Stage s, const Chunk& c,
-                                          size_t begin, size_t end) {
+[[LACB_TARGET_LANES8]] void RunStage8(Stage s, const Chunk& c, size_t begin,
+                                     size_t end) {
   RunStage<8>(s, c, begin, end);
 }
 #endif
@@ -354,33 +335,17 @@ StageFn StageFor(size_t lanes) {
   }
 }
 
-#undef LACB_TILE
-
-std::atomic<size_t> g_forced_lanes{0};
-
 // Lanes for a pass whose chunks hold up to n inputs: the widest the CPU
 // runs that pads a chunk to no more lanes than the narrowest tile (4) does,
 // so one input or SelectValue's six arms do not pay for 16-lane tiles.
 size_t PassLanes(size_t n) {
-  size_t forced = g_forced_lanes.load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  size_t lanes = SimdDoubleLanes();
+  size_t lanes = KernelLanes();
+  if (KernelLanesForced()) return lanes;
   while (lanes > 2 && RoundUp(n, 2 * lanes) > RoundUp(n, 4)) lanes /= 2;
   return lanes;
 }
 
 }  // namespace
-
-Status ForceKernelLanesForTesting(size_t lanes) {
-  if (lanes != 0 && lanes != 2 && lanes != 4 && lanes != 8) {
-    return Status::InvalidArgument("kernel lanes must be 0, 2, 4 or 8");
-  }
-  if (lanes > SimdDoubleLanes()) {
-    return Status::InvalidArgument("this CPU cannot run that lane width");
-  }
-  g_forced_lanes.store(lanes, std::memory_order_relaxed);
-  return Status::OK();
-}
 
 // Per pass: the lane count L, its kernel entry, and per layer the buffers
 // of LayerPass, carved from one allocation with every buffer starting on a
@@ -491,6 +456,30 @@ void Mlp::ScatterGradient(const Workspace& ws, Vector* grad) const {
   }
 }
 
+void Mlp::WriteInputGradient(const Workspace& ws, size_t e,
+                             Vector* grad) const {
+  grad->resize(params_.size());
+  double* out = grad->data();
+  for (size_t l = 0; l < layer_sizes_.size(); ++l) {
+    const LayerPass& p = ws.layers[l];
+    for (size_t i = 0; i < p.out; ++i) {
+      // The accumulator sums from +0.0 and skips δ = 0, so a skipped row
+      // is +0.0 and a kept term is 0.0 + δ·a, never the raw product: the
+      // sum turns a −0.0 product into +0.0. The bias input is 1.0.
+      const double d = p.delta[i * ws.nb + e];
+      double* row = out + weight_offsets_[l] + i * p.in;
+      if (d == 0.0) {
+        std::fill(row, row + p.in, 0.0);
+      } else {
+        for (size_t j = 0; j < p.in; ++j) {
+          row[j] = 0.0 + d * p.act[j * ws.nb + e];
+        }
+      }
+      if (use_bias_) out[bias_offsets_[l] + i] = d == 0.0 ? 0.0 : 0.0 + d;
+    }
+  }
+}
+
 Status Mlp::CheckInput(const Vector& x) const {
   if (x.size() != input_dim()) {
     return Status::InvalidArgument("MLP forward: input dimension mismatch");
@@ -529,11 +518,7 @@ Status Mlp::OutputGradients(const std::vector<Vector>& inputs,
       SetOutputGradient(&ws, e, 1.0);
     }
     BackwardChunk(&ws);
-    for (size_t e = 0; e < n; ++e) {
-      ZeroGradient(&ws);
-      AccumulateGradient(&ws, e, e + 1);
-      ScatterGradient(ws, &(*grads)[s + e]);
-    }
+    for (size_t e = 0; e < n; ++e) WriteInputGradient(ws, e, &(*grads)[s + e]);
   }
   return Status::OK();
 }

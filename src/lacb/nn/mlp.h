@@ -27,10 +27,11 @@
 // The kernel is one template over its lane count L: vectors of L doubles,
 // forward/backward tiles of 2·L inputs, gradient rows padded to a multiple
 // of L columns. Each lane carries one input's (or one weight's) sum in the
-// order above, so L changes the speed and never a bit. L is 8 (AVX-512F),
-// 4 (AVX2) or 2 (SSE2, and the only width off x86-64): the widest this CPU
-// runs (SimdDoubleLanes, common/cpu.h), narrowed for passes too small to
-// fill its tiles.
+// order above, so L changes the speed and never a bit. L is 8 (AVX-512F
+// with DQ), 4 (AVX2) or 2 (SSE2, and the only width off x86-64): the
+// widest this CPU runs (KernelLanes, common/cpu.h, which also holds the
+// test seam that forces it), narrowed for passes too small to fill its
+// tiles.
 // Every product is rounded before it is added: the library is built with
 // -ffp-contract=off (src/CMakeLists.txt), since GCC would otherwise fuse
 // them into FMAs wherever the target has them. Scratch lives in a
@@ -69,11 +70,6 @@ struct Example {
   Vector x;
   double target = 0.0;
 };
-
-/// \brief Test seam: runs every later pass, on every thread, at exactly
-/// `lanes` (2, 4 or 8); 0 restores the per-CPU, per-pass choice. A width
-/// above SimdDoubleLanes() (common/cpu.h) is refused.
-Status ForceKernelLanesForTesting(size_t lanes);
 
 /// \brief Scalar-output multi-layer perceptron.
 class Mlp {
@@ -163,6 +159,10 @@ class Mlp {
   void AccumulateGradient(Workspace* ws, size_t begin, size_t end) const;
   void ZeroGradient(Workspace* ws) const;
   void ScatterGradient(const Workspace& ws, Vector* grad) const;
+  // Chunk example e's own parameter gradient, written straight into *grad
+  // in params() layout: exactly what AccumulateGradient(ws, e, e + 1) into
+  // a zeroed accumulator followed by ScatterGradient leaves there.
+  void WriteInputGradient(const Workspace& ws, size_t e, Vector* grad) const;
   Status CheckInput(const Vector& x) const;
 
   std::vector<size_t> layer_sizes_;  // input + hidden widths (output is 1)

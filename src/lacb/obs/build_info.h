@@ -19,7 +19,7 @@ struct BuildInfo {
   std::string version;
   std::string commit;    // short git hash, or "unknown" outside a checkout
   std::string compiler;  // e.g. "gcc 13.2.0"
-  std::string simd;      // the MLP kernel tier this CPU runs, e.g. "avx512f"
+  std::string simd;      // the wide-kernel tier this CPU runs (cpu.h)
 };
 
 /// \brief The identity baked in at compile time.

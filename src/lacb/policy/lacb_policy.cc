@@ -74,7 +74,8 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
   std::vector<int64_t> out(num_requests, matching::kUnmatched);
 
   // Alg. 2 line 4: available brokers B₊.
-  std::vector<size_t> eligible;
+  std::vector<size_t>& eligible = scratch_.eligible;
+  eligible.clear();
   for (size_t c = 0; c < u.cols(); ++c) {
     if (w[c] < capacity_[c]) eligible.push_back(c);
   }
@@ -84,18 +85,17 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
   // brokers by the value-function delta at their current residual. The
   // per-column deltas are computed first, then fused into the column
   // gather by the shared scoring kernel.
-  la::Matrix refined;
-  std::vector<double> residual(eligible.size());
+  la::Matrix& refined = scratch_.refined;
   {
     LACB_TRACE_SPAN("value_refine");
-    std::vector<double> column_delta(eligible.size(), 0.0);
+    std::vector<double>& column_delta = scratch_.column_delta;
+    column_delta.assign(eligible.size(), 0.0);
     size_t refined_brokers = 0;
     for (size_t c = 0; c < eligible.size(); ++c) {
       size_t b = eligible[c];
-      residual[c] = capacity_[b] - w[b];
       if (config_.use_value_function &&
           CapacityHitFrequency(b) > config_.capacity_hit_threshold) {
-        double delta = value_function_.RefinementDelta(residual[c]);
+        double delta = value_function_.RefinementDelta(capacity_[b] - w[b]);
         if (config_.clamp_refinement) delta = std::min(0.0, delta);
         column_delta[c] = delta;
         ++refined_brokers;
@@ -111,18 +111,20 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
   }
 
   // LACB-Opt, Alg. 3: prune broker columns to the per-request candidates.
-  std::vector<size_t> active(eligible.size());
-  for (size_t i = 0; i < active.size(); ++i) active[i] = i;
+  std::vector<size_t>& active = scratch_.active;
   la::Matrix* solve_matrix = &refined;
-  la::Matrix pruned;
   if (config_.use_cbs && eligible.size() > num_requests) {
     LACB_TRACE_SPAN("cbs_prune");
-    LACB_ASSIGN_OR_RETURN(active, matching::CandidateColumns(refined, &rng_));
-    LACB_ASSIGN_OR_RETURN(pruned, matching::RestrictColumns(refined, active));
-    solve_matrix = &pruned;
+    LACB_RETURN_NOT_OK(matching::CandidateColumns(refined, &rng_, &active));
+    LACB_RETURN_NOT_OK(
+        matching::RestrictColumns(refined, active, &scratch_.pruned));
+    solve_matrix = &scratch_.pruned;
     obs::ActiveRegistry()
         .GetCounter("lacb.cbs_pruned_columns")
         .Increment(eligible.size() - active.size());
+  } else {
+    active.resize(eligible.size());
+    for (size_t i = 0; i < active.size(); ++i) active[i] = i;
   }
 
   // Alg. 2 line 7: match on the (padded or pruned) graph. The km_solve

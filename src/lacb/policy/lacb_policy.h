@@ -16,9 +16,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "lacb/capacity/personalized_estimator.h"
 #include "lacb/common/rng.h"
+#include "lacb/la/matrix.h"
 #include "lacb/policy/assignment_policy.h"
 #include "lacb/policy/value_function.h"
 
@@ -108,6 +110,17 @@ class LacbPolicy : public AssignmentPolicy {
   std::vector<double> capacity_;       // today's estimates
   std::vector<size_t> capacity_hits_;  // days the broker hit capacity
   size_t days_elapsed_ = 0;
+
+  // AssignBatch's buffers, kept so a served replica (one per worker)
+  // allocates none of them per batch once it has seen its widest batch.
+  struct BatchScratch {
+    std::vector<size_t> eligible;      // B₊ as broker columns
+    std::vector<double> column_delta;  // Eq. 15 delta per eligible column
+    la::Matrix refined;                // refined eligible columns
+    std::vector<size_t> active;        // CBS candidates within `eligible`
+    la::Matrix pruned;                 // refined restricted to `active`
+  };
+  BatchScratch scratch_;
 };
 
 }  // namespace lacb::policy

@@ -169,6 +169,7 @@ AssignmentService::AssignmentService(
       platform_(std::move(platform)),
       replicas_(std::move(replicas)),
       policy_name_(replicas_.front()->name()),
+      worker_stages_(replicas_.size()),
       store_(platform_->num_brokers(), kStoreStripes) {
   channel_capacity_ = options_.batch_channel_capacity != 0
                           ? options_.batch_channel_capacity
@@ -790,7 +791,7 @@ Status AssignmentService::ProcessBatch(size_t worker_index,
     std::this_thread::sleep_for(store_fault.stall);
     if (supervisor_ != nullptr) supervisor_->Beat(worker_index);
   }
-  BatchStage stage;
+  BatchStage& stage = worker_stages_[worker_index];
   BuildBatchInput(batch.requests, &stage);
   std::vector<int64_t> assignment;
   LACB_ASSIGN_OR_RETURN(const SolveOutcome solve,
@@ -867,7 +868,7 @@ void AssignmentService::BuildBatchInput(
   }
   {
     LACB_TRACE_SPAN("serve.utility_matrix");
-    stage->utility = platform_->utility_model().UtilityMatrix(requests);
+    platform_->utility_model().UtilityMatrix(requests, &stage->utility);
   }
   stage->input.requests = &requests;
   stage->input.utility = &stage->utility;

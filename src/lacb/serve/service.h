@@ -558,6 +558,10 @@ class AssignmentService {
   std::unique_ptr<sim::Platform> platform_;
   std::vector<std::unique_ptr<policy::AssignmentPolicy>> replicas_;
   std::string policy_name_;
+  // One per worker (indexed like replicas_), reused by every batch that
+  // worker solves, so the utility matrix and workload snapshot allocate
+  // nothing per batch. Only the worker's own thread touches its stage.
+  std::vector<BatchStage> worker_stages_;
 
   // --- Environment of record (serialized) ---
   std::mutex env_mu_;

@@ -54,8 +54,15 @@ class UtilityModel {
   /// \brief Dense |requests| × |roster| utility matrix for one batch, where
   /// the roster is the broker list given to Create (column b is its b-th
   /// broker). For finite embeddings, bit-identical to calling Utility() on
-  /// every pair.
+  /// every pair. Rows are built by a lane-width-generic kernel (8, 4 or 2
+  /// brokers per vector, common/cpu.h): each lane runs Utility()'s scalar
+  /// operations in the same order, so the width changes no bit.
   la::Matrix UtilityMatrix(const std::vector<Request>& requests) const;
+
+  /// \brief The same into *out, reusing its storage: no allocation once it
+  /// has held a batch this large.
+  void UtilityMatrix(const std::vector<Request>& requests,
+                     la::Matrix* out) const;
 
  private:
   UtilityModel() = default;
@@ -65,7 +72,10 @@ class UtilityModel {
   std::vector<double> quality_score_;
 
   // Broker-side terms of the roster, packed with the roster index fastest
-  // so one request's terms for every broker are contiguous.
+  // so one request's terms for every broker are contiguous. Every table row
+  // holds `stride_` columns: the roster size rounded up to a whole 8-lane
+  // vector, zero past the roster, so a row's last vector reads no further.
+  size_t stride_ = 0;
   /// quality_score_ of each roster broker.
   std::vector<double> column_quality_;
   /// Broker half of each roster broker's pair-noise key.

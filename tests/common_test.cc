@@ -1,11 +1,12 @@
 // Unit tests for lacb/common: Status, Result, Rng, DiscreteSampler,
-// TablePrinter.
+// TablePrinter, and the kernels' SIMD tier choice and width seam.
 
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "lacb/common/cpu.h"
 #include "lacb/common/discrete_sampler.h"
 #include "lacb/common/result.h"
 #include "lacb/common/rng.h"
@@ -214,6 +215,35 @@ TEST(TablePrinterTest, CsvOutput) {
 TEST(TablePrinterTest, NumFormatsPrecision) {
   EXPECT_EQ(TablePrinter::Num(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::Num(2.0, 0), "2");
+}
+
+TEST(SimdTierTest, ChoosesTheWidestSupportedWidth) {
+  size_t widest = 2;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq")) {
+    widest = 8;
+  } else if (__builtin_cpu_supports("avx2")) {
+    widest = 4;
+  }
+#endif
+  EXPECT_EQ(SimdDoubleLanes(), widest);
+  EXPECT_EQ(KernelLanes(), widest);
+  EXPECT_FALSE(KernelLanesForced());
+  EXPECT_FALSE(ForceKernelLanesForTesting(3).ok());
+  EXPECT_FALSE(ForceKernelLanesForTesting(16).ok());
+  for (size_t lanes : {2, 4, 8}) {
+    EXPECT_EQ(ForceKernelLanesForTesting(lanes).ok(), lanes <= widest)
+        << lanes;
+    if (lanes <= widest) {
+      EXPECT_EQ(KernelLanes(), lanes);
+      EXPECT_TRUE(KernelLanesForced());
+    }
+  }
+  ASSERT_TRUE(ForceKernelLanesForTesting(0).ok());
+  EXPECT_EQ(KernelLanes(), widest);
+  EXPECT_FALSE(KernelLanesForced());
 }
 
 }  // namespace

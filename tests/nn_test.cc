@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lacb/common/cpu.h"
+#include "kernel_lanes.h"
 #include "lacb/nn/mlp.h"
 #include "lacb/nn/optimizer.h"
 
@@ -369,35 +369,9 @@ std::vector<Example> RandomExamples(size_t n, size_t dim, Rng* rng) {
   return data;
 }
 
-// Runs each kernel test at every lane width this CPU supports (0 is the
-// per-pass automatic choice); a width the CPU cannot run is skipped.
-class MlpKernelTest : public ::testing::TestWithParam<size_t> {
- protected:
-  void SetUp() override {
-    if (!ForceKernelLanesForTesting(GetParam()).ok()) {
-      GTEST_SKIP() << "this CPU cannot run " << GetParam() << " lanes";
-    }
-  }
-  void TearDown() override {
-    ASSERT_TRUE(ForceKernelLanesForTesting(0).ok());
-  }
-};
-
-std::string LanesName(const ::testing::TestParamInfo<size_t>& info) {
-  switch (info.param) {
-    case 2:
-      return "L2";
-    case 4:
-      return "L4";
-    case 8:
-      return "L8";
-    default:
-      return "Auto";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Lanes, MlpKernelTest,
-                         ::testing::Values(size_t{0}, 2, 4, 8), LanesName);
+// Each kernel test runs at every lane width this CPU supports.
+class MlpKernelTest : public KernelLanesTest {};
+LACB_INSTANTIATE_KERNEL_LANES(MlpKernelTest);
 
 TEST_P(MlpKernelTest, LossGradientMatchesReferenceBytes) {
   Rng rng(101);
@@ -488,26 +462,6 @@ TEST_P(MlpKernelTest, RejectsBadRowsAndInputs) {
   std::vector<la::Vector> grads;
   EXPECT_FALSE(net->OutputGradients({{1.0}}, &outputs, &grads).ok());
   EXPECT_FALSE(net->Loss(data, 0.0).ok());
-}
-
-TEST(MlpKernelLanesTest, ChoosesTheWidestSupportedWidth) {
-  size_t widest = 2;
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) {
-    widest = 8;
-  } else if (__builtin_cpu_supports("avx2")) {
-    widest = 4;
-  }
-#endif
-  EXPECT_EQ(SimdDoubleLanes(), widest);
-  EXPECT_FALSE(ForceKernelLanesForTesting(3).ok());
-  EXPECT_FALSE(ForceKernelLanesForTesting(16).ok());
-  for (size_t lanes : {2, 4, 8}) {
-    EXPECT_EQ(ForceKernelLanesForTesting(lanes).ok(), lanes <= widest)
-        << lanes;
-  }
-  ASSERT_TRUE(ForceKernelLanesForTesting(0).ok());
 }
 
 TEST(SgdTest, FitsLinearFunction) {

@@ -9,8 +9,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -688,6 +691,152 @@ TEST(CrashRecoveryTest, KillAndRecoverFinishesBitIdentical) {
   EXPECT_EQ(stats.submitted + restored_carryover,
             stats.assigned + stats.unmatched + stats.failed +
                 stats.dropped_appeals);
+}
+
+// --- Golden fixtures -----------------------------------------------------
+//
+// tests/data/persist holds the newest checkpoint (format v1) and its WAL
+// (format v3) exactly as the kill-and-recover run above leaves them on
+// disk: RecoveryConfig, LACB-Opt, killed after 27 commits, so the
+// checkpoint cut at 24 commits is followed by a 3-batch WAL tail. Today's
+// decoders must read those committed bytes, and a service restored from
+// them must finish the horizon as the uninterrupted run does, so any drift
+// in either format or in replay fails here. A deliberate format change
+// bumps the version and regenerates them by running persist_test with
+// --gtest_also_run_disabled_tests and
+// --gtest_filter='GoldenFixtureTest.DISABLED_WriteFixtures'.
+
+constexpr uint64_t kGoldenSeq = 8;
+
+std::string GoldenDir() {
+  return std::string(LACB_TEST_DATA_DIR) + "/persist";
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.is_open()) << path;
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// The u32 version field follows the 8-byte magic in both formats.
+std::string WithVersionBumped(std::string bytes) {
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  ++version;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  return bytes;
+}
+
+TEST(GoldenFixtureTest, DISABLED_WriteFixtures) {
+  std::string dir = TempDirFor("golden_source");
+  RunUntilKilled(RecoveryConfig(), dir, 27);
+  persist::CheckpointManager mgr(dir, 3, false);
+  uint64_t newest = mgr.ListSeqs().back();
+  std::filesystem::create_directories(GoldenDir());
+  for (const std::string& path :
+       {mgr.CheckpointPath(newest), mgr.WalPath(newest)}) {
+    std::filesystem::copy_file(
+        path,
+        GoldenDir() + "/" + std::filesystem::path(path).filename().string(),
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  std::printf("wrote seq %llu into %s\n",
+              static_cast<unsigned long long>(newest), GoldenDir().c_str());
+}
+
+TEST(GoldenFixtureTest, DecodesAndRestoresToTheRecordedState) {
+  persist::CheckpointManager golden(GoldenDir(), 3, false);
+  const std::string ckpt_bytes =
+      ReadBytes(golden.CheckpointPath(kGoldenSeq));
+  auto ckpt = persist::DecodeCheckpoint(ckpt_bytes);
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+  EXPECT_EQ(ckpt->seq, kGoldenSeq);
+  std::vector<std::string> names;
+  for (const persist::CheckpointSection& s : ckpt->sections) {
+    names.push_back(s.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"meta", "platform", "store",
+                                             "replica.0", "batcher"}));
+  // The writer still produces the committed bytes.
+  EXPECT_EQ(persist::EncodeCheckpoint(*ckpt), ckpt_bytes);
+
+  const std::string wal_path = golden.WalPath(kGoldenSeq);
+  auto wal = persist::RecoverWal(wal_path);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  EXPECT_EQ(wal->checkpoint_seq, kGoldenSeq);
+  EXPECT_FALSE(wal->truncated_torn_tail);
+  EXPECT_EQ(wal->valid_bytes, std::filesystem::file_size(wal_path));
+  ASSERT_EQ(wal->records.size(), 3u);
+  for (const persist::WalRecord& record : wal->records) {
+    EXPECT_EQ(record.type, persist::WalRecordType::kBatch);
+    EXPECT_EQ(record.day, 1u);
+    EXPECT_EQ(record.solve, persist::SolveOutcome::kSolved);
+    EXPECT_EQ(record.requests.size(), record.assignment.size());
+  }
+
+  // Restored from the committed bytes alone, the service picks up where
+  // the killed run stopped and finishes bit-identical to the run that was
+  // never killed.
+  sim::DatasetConfig cfg = RecoveryConfig();
+  RunLedger expected = UninterruptedBaseline(cfg);
+  std::string dir = TempDirFor("golden_restore");
+  std::filesystem::create_directories(dir);
+  persist::CheckpointManager mgr(dir, 3, false);
+  WriteBytes(mgr.CheckpointPath(kGoldenSeq), ckpt_bytes);
+  WriteBytes(mgr.WalPath(kGoldenSeq), ReadBytes(wal_path));
+
+  obs::ScopedTelemetry telemetry;
+  auto service = serve::AssignmentService::Create(cfg, RecoveryFactory(cfg),
+                                                  RecoveryServeOptions(dir, 0));
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->Start().ok()) << "restore from fixtures failed";
+  const serve::RestoreInfo& info = (*service)->restore_info();
+  ASSERT_TRUE(info.restored);
+  EXPECT_EQ(info.day, 1u);
+  EXPECT_TRUE(info.day_open);
+  EXPECT_EQ(info.batches_committed_today, 7u);
+  EXPECT_EQ(info.replayed_batches, 3u);
+  EXPECT_EQ(
+      obs::ActiveRegistry().GetCounter("persist.replay_divergence").value(),
+      0u);
+
+  RunLedger resumed;
+  Status st = DriveToEnd(service->get(), info.day,
+                         info.batches_committed_today, info.day_open,
+                         &resumed);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  (*service)->Shutdown();
+  ASSERT_EQ(resumed.daily_utility.size(), 2u);
+  EXPECT_DOUBLE_EQ(resumed.daily_utility[0], expected.daily_utility[1]);
+  EXPECT_DOUBLE_EQ(resumed.daily_utility[1], expected.daily_utility[2]);
+  EXPECT_EQ(resumed.platform_state, expected.platform_state);
+  EXPECT_EQ(resumed.replica_state, expected.replica_state);
+}
+
+TEST(GoldenFixtureTest, BumpedVersionsAreRefused) {
+  persist::CheckpointManager golden(GoldenDir(), 3, false);
+  auto ckpt = persist::DecodeCheckpoint(
+      WithVersionBumped(ReadBytes(golden.CheckpointPath(kGoldenSeq))));
+  ASSERT_FALSE(ckpt.ok());
+  EXPECT_EQ(ckpt.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ckpt.status().ToString().find("version"), std::string::npos)
+      << ckpt.status().ToString();
+
+  std::string dir = TempDirFor("golden_bumped");
+  std::filesystem::create_directories(dir);
+  std::string wal_path = dir + "/wal-bumped.log";
+  WriteBytes(wal_path,
+             WithVersionBumped(ReadBytes(golden.WalPath(kGoldenSeq))));
+  auto wal = persist::RecoverWal(wal_path);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wal.status().ToString().find("version"), std::string::npos)
+      << wal.status().ToString();
 }
 
 TEST(CrashRecoveryTest, CorruptCheckpointAndTornWalStillRecover) {

@@ -2,11 +2,14 @@
 // the Theorem-2 exactness guarantee (pruned assignment == full assignment).
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "kernel_lanes.h"
 #include "lacb/common/rng.h"
 #include "lacb/matching/assignment.h"
 #include "lacb/matching/selection.h"
@@ -82,8 +85,15 @@ std::vector<size_t> OracleCandidateColumns(const la::Matrix& utility,
 }
 
 // Value families for the oracle comparisons: ties are where a partition's
-// order decides which pivot a draw hits and which equal elements are kept.
-enum class Values { kContinuous, kIntegerTied, kAllEqual, kNegative };
+// order decides which pivot a draw hits and which equal elements are kept,
+// and a NaN is neither heavier nor lighter than any pivot.
+enum class Values {
+  kContinuous,
+  kIntegerTied,
+  kAllEqual,
+  kNegative,
+  kNonFinite
+};
 
 double Draw(Values kind, Rng* rng) {
   switch (kind) {
@@ -95,50 +105,88 @@ double Draw(Values kind, Rng* rng) {
       return 0.25;
     case Values::kNegative:
       return rng->Uniform(-1.0, -0.1);
+    case Values::kNonFinite: {
+      const double odd[] = {std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 0.0,
+                            -0.0};
+      int64_t pick = rng->UniformInt(0, 9);
+      return pick < 5 ? odd[pick] : rng->Uniform();
+    }
   }
   return 0.0;
 }
 
 constexpr Values kAllValues[] = {Values::kContinuous, Values::kIntegerTied,
-                                 Values::kAllEqual, Values::kNegative};
+                                 Values::kAllEqual, Values::kNegative,
+                                 Values::kNonFinite};
 
-TEST(SelectTopKTest, MatchesAllocatingOracleAndRngState) {
+// The CBS partition runs at every kernel width this CPU supports: AVX-512
+// at 8 lanes, the scalar oracle loop at 4 and 2.
+class SelectTopKLanesTest : public KernelLanesTest {};
+LACB_INSTANTIATE_KERNEL_LANES(SelectTopKLanesTest);
+class CandidateColumnsLanesTest : public KernelLanesTest {};
+LACB_INSTANTIATE_KERNEL_LANES(CandidateColumnsLanesTest);
+
+void ExpectSelectMatchesOracle(const std::vector<double>& u, size_t k,
+                               uint64_t seed, const std::string& what) {
+  Rng a(seed);
+  Rng b(seed);
+  auto got = SelectTopK(u, k, &a);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, OracleSelectTopK(u, k, &b))
+      << what << " n=" << u.size() << " k=" << k;
+  EXPECT_EQ(a.SaveState(), b.SaveState()) << what;
+}
+
+TEST_P(SelectTopKLanesTest, MatchesAllocatingOracleAndRngState) {
   Rng gen(21);
   for (Values kind : kAllValues) {
+    const std::string what = "kind=" + std::to_string(static_cast<int>(kind));
     for (int trial = 0; trial < 60; ++trial) {
       size_t n = static_cast<size_t>(gen.UniformInt(0, 300));
       size_t k = static_cast<size_t>(gen.UniformInt(0, 40));
       std::vector<double> u(n);
       for (double& v : u) v = Draw(kind, &gen);
-      Rng a(static_cast<uint64_t>(100 + trial));
-      Rng b(static_cast<uint64_t>(100 + trial));
-      auto got = SelectTopK(u, k, &a);
-      ASSERT_TRUE(got.ok());
-      std::vector<size_t> want = OracleSelectTopK(u, k, &b);
-      EXPECT_EQ(*got, want) << "kind=" << static_cast<int>(kind)
-                            << " n=" << n << " k=" << k;
-      EXPECT_EQ(a.SaveState(), b.SaveState());
+      ExpectSelectMatchesOracle(u, k, static_cast<uint64_t>(100 + trial),
+                                what);
+    }
+    // Rows shorter than one vector and with a partial last vector, against
+    // k = 0, k = 1, k inside the row, k = n and k > n.
+    for (size_t n = 1; n <= 19; ++n) {
+      std::vector<double> u(n);
+      for (double& v : u) v = Draw(kind, &gen);
+      for (size_t k : {size_t{0}, size_t{1}, n / 2, n - 1, n, n + 3}) {
+        ExpectSelectMatchesOracle(u, k, 300 + n, what);
+      }
     }
   }
 }
 
-TEST(CandidateColumnsTest, MatchesAllocatingOracleAndRngState) {
+TEST_P(CandidateColumnsLanesTest, MatchesAllocatingOracleAndRngState) {
   Rng gen(22);
+  std::vector<size_t> reused = {7, 7, 7};  // stale contents are replaced
   for (Values kind : kAllValues) {
     for (int trial = 0; trial < 40; ++trial) {
-      // Includes empty batches and batches wider than the roster.
+      // Includes empty batches, rosters shorter than one vector and
+      // batches wider than the roster.
       size_t rows = static_cast<size_t>(gen.UniformInt(0, 24));
-      size_t cols = static_cast<size_t>(gen.UniformInt(1, 400));
+      size_t cols = static_cast<size_t>(
+          trial % 4 == 0 ? gen.UniformInt(1, 9) : gen.UniformInt(1, 400));
       la::Matrix u(rows, cols);
       for (double& v : u.data()) v = Draw(kind, &gen);
       Rng a(static_cast<uint64_t>(200 + trial));
       Rng b(static_cast<uint64_t>(200 + trial));
+      Rng c(static_cast<uint64_t>(200 + trial));
       auto got = CandidateColumns(u, &a);
       ASSERT_TRUE(got.ok());
-      EXPECT_EQ(*got, OracleCandidateColumns(u, &b))
-          << "kind=" << static_cast<int>(kind) << " rows=" << rows
-          << " cols=" << cols;
+      std::vector<size_t> want = OracleCandidateColumns(u, &b);
+      EXPECT_EQ(*got, want) << "kind=" << static_cast<int>(kind)
+                            << " rows=" << rows << " cols=" << cols;
       EXPECT_EQ(a.SaveState(), b.SaveState());
+      ASSERT_TRUE(CandidateColumns(u, &c, &reused).ok());
+      EXPECT_EQ(reused, want);
+      EXPECT_EQ(c.SaveState(), b.SaveState());
     }
   }
   la::Matrix one(1, 3, 0.5);

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "kernel_lanes.h"
 #include "lacb/sim/dataset.h"
 #include "lacb/sim/platform.h"
 #include "lacb/sim/signup_model.h"
@@ -176,18 +179,21 @@ TEST(UtilityModelTest, HigherQualityBrokersScoreHigherOnAverage) {
   EXPECT_GT(sum_best / count, sum_worst / count);
 }
 
-// u_{r,b} transcribed from the model's definition, one pair at a time:
-// UtilityMatrix's packed tables must reproduce it bit for bit.
+// u_{r,b} transcribed from the model's definition, one pair at a time, with
+// the broker's embedding zero-padded to the roster's widest
+// (`embedding_width`), as UtilityMatrix packs it. For finite entries a
+// padded term adds ±0 to a sum that is never −0, so this is also
+// Utility(); with non-finite entries (∞·0 is NaN) it defines the matrix.
 double PairFormula(const Request& q, const Broker& b, double quality,
-                   const UtilityModelConfig& c) {
+                   const UtilityModelConfig& c, size_t embedding_width) {
   double district = q.district < b.preference.district_affinity.size()
                         ? b.preference.district_affinity[q.district]
                         : 0.0;
+  const std::vector<double>& e = b.preference.housing_embedding;
   double taste = 0.0;
-  size_t dims = std::min(q.housing_embedding.size(),
-                         b.preference.housing_embedding.size());
+  size_t dims = std::min(q.housing_embedding.size(), embedding_width);
   for (size_t i = 0; i < dims; ++i) {
-    taste += q.housing_embedding[i] * b.preference.housing_embedding[i];
+    taste += q.housing_embedding[i] * (i < e.size() ? e[i] : 0.0);
   }
   taste = std::clamp(0.5 * (taste + 1.0), 0.0, 1.0);
   double affinity = 0.5 * district + 0.5 * taste;
@@ -206,63 +212,142 @@ double PairFormula(const Request& q, const Broker& b, double quality,
   return std::clamp(u, 0.0, 1.0);
 }
 
-TEST(UtilityModelTest, UtilityMatrixMatchesPairFormulaBitForBit) {
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// A roster of n brokers with ragged embeddings (widths 0..11) and affinity
+// lists (0..14 long), in a shuffled id order (ids stay dense), so padding
+// and the column ↔ id mapping are both exercised.
+std::vector<Broker> RaggedRoster(size_t n, Rng* rng) {
   DatasetConfig cfg;
-  cfg.num_brokers = 37;
-  Rng rng(11);
-  std::vector<Broker> brokers = GenerateBrokers(cfg, &rng);
-  // Ragged rosters: embedding widths 0..11 and affinity lists 0..14 long,
-  // in a shuffled id order (ids stay dense), so padding and the column ↔ id
-  // mapping are both exercised.
+  cfg.num_brokers = n;
+  std::vector<Broker> brokers = GenerateBrokers(cfg, rng);
   for (size_t i = 0; i < brokers.size(); ++i) {
     Preference& p = brokers[i].preference;
     p.housing_embedding.resize(i % 12);
-    for (double& v : p.housing_embedding) v = rng.Uniform(-0.6, 0.6);
+    for (double& v : p.housing_embedding) v = rng->Uniform(-0.6, 0.6);
     p.district_affinity.resize((3 * i) % 15);
-    for (double& v : p.district_affinity) v = rng.Uniform();
+    for (double& v : p.district_affinity) v = rng->Uniform();
   }
-  std::vector<Broker> roster = brokers;
-  rng.Shuffle(&roster);
-  UtilityModelConfig config;
-  config.quality_compression = 0.7;
-  config.noise_seed = 4242;
-  auto um = UtilityModel::Create(roster, config);
-  ASSERT_TRUE(um.ok());
+  rng->Shuffle(&brokers);
+  return brokers;
+}
 
+std::vector<Request> RaggedRequests(size_t n, Rng* rng) {
   std::vector<Request> requests;
-  for (size_t r = 0; r < 29; ++r) {
+  for (size_t r = 0; r < n; ++r) {
     Request q;
     q.id = static_cast<int64_t>(1000 + 7 * r);
     // Districts past every broker's list (up to 20 against at most 14).
-    q.district = static_cast<size_t>(rng.UniformInt(0, 20));
+    q.district = static_cast<size_t>(rng->UniformInt(0, 20));
     // Shorter than, equal to and longer than the widest broker embedding.
     q.housing_embedding.resize(r % 16);
-    for (double& v : q.housing_embedding) v = rng.Uniform(-0.6, 0.6);
-    q.pickiness = rng.Uniform();
+    for (double& v : q.housing_embedding) v = rng->Uniform(-0.6, 0.6);
+    q.pickiness = rng->Uniform();
     requests.push_back(q);
   }
-  la::Matrix m = um->UtilityMatrix(requests);
-  ASSERT_EQ(m.rows(), requests.size());
-  ASSERT_EQ(m.cols(), roster.size());
+  return requests;
+}
 
+// The packed build's expected matrix, pair by pair.
+std::vector<double> ExpectedMatrix(const std::vector<Broker>& roster,
+                                   const std::vector<Request>& requests,
+                                   const UtilityModelConfig& config) {
   double max_q = 0.0;
+  size_t width = 0;
   for (const Broker& b : roster) {
     max_q = std::max(max_q, b.latent.base_quality * b.latent.popularity);
+    width = std::max(width, b.preference.housing_embedding.size());
   }
-  for (size_t r = 0; r < requests.size(); ++r) {
-    for (size_t b = 0; b < roster.size(); ++b) {
-      double raw = roster[b].latent.base_quality *
-                   roster[b].latent.popularity / max_q;
+  std::vector<double> want;
+  for (const Request& q : requests) {
+    for (const Broker& b : roster) {
+      double raw = b.latent.base_quality * b.latent.popularity / max_q;
       double quality = std::pow(raw, config.quality_compression);
-      double want = PairFormula(requests[r], roster[b], quality, config);
-      // Bit equality, not tolerance: the packed build is a pure reordering
-      // of the same floating-point operations.
-      EXPECT_EQ(m(r, b), want) << "r=" << r << " b=" << b;
-      EXPECT_EQ(m(r, b), um->Utility(requests[r], roster[b]))
-          << "r=" << r << " b=" << b;
+      want.push_back(PairFormula(q, b, quality, config, width));
     }
   }
-  EXPECT_EQ(um->UtilityMatrix({}).rows(), 0u);
+  return want;
+}
+
+UtilityModelConfig TestUtilityConfig() {
+  UtilityModelConfig config;
+  config.quality_compression = 0.7;
+  config.noise_seed = 4242;
+  return config;
+}
+
+// The utility rows run at every kernel width this CPU supports.
+class UtilityModelLanesTest : public KernelLanesTest {};
+LACB_INSTANTIATE_KERNEL_LANES(UtilityModelLanesTest);
+
+TEST_P(UtilityModelLanesTest, UtilityMatrixMatchesPairFormulaBitForBit) {
+  Rng rng(11);
+  const UtilityModelConfig config = TestUtilityConfig();
+  // Rosters shorter than one vector, a whole number of vectors, and with a
+  // partial last vector at every width.
+  for (size_t n : {1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 37}) {
+    std::vector<Broker> roster = RaggedRoster(n, &rng);
+    auto um = UtilityModel::Create(roster, config);
+    ASSERT_TRUE(um.ok());
+    std::vector<Request> requests = RaggedRequests(29, &rng);
+    la::Matrix m = um->UtilityMatrix(requests);
+    ASSERT_EQ(m.rows(), requests.size());
+    ASSERT_EQ(m.cols(), roster.size());
+    std::vector<double> want = ExpectedMatrix(roster, requests, config);
+    for (size_t r = 0; r < requests.size(); ++r) {
+      for (size_t b = 0; b < roster.size(); ++b) {
+        // Bit equality, not tolerance: every lane runs the same
+        // floating-point operations in the same order.
+        EXPECT_EQ(m(r, b), want[r * n + b]) << "n=" << n << " r=" << r
+                                            << " b=" << b;
+        EXPECT_EQ(m(r, b), um->Utility(requests[r], roster[b]))
+            << "n=" << n << " r=" << r << " b=" << b;
+      }
+    }
+    // Into a reused matrix that last held a larger batch.
+    la::Matrix reused(64, n + 9, -1.0);
+    std::vector<Request> head(requests.begin(), requests.begin() + 5);
+    um->UtilityMatrix(head, &reused);
+    ASSERT_EQ(reused.rows(), head.size());
+    ASSERT_EQ(reused.cols(), n);
+    for (size_t i = 0; i < head.size() * n; ++i) {
+      EXPECT_EQ(Bits(reused.data()[i]), Bits(m.data()[i])) << "n=" << n;
+    }
+    EXPECT_EQ(um->UtilityMatrix({}).rows(), 0u);
+  }
+}
+
+TEST_P(UtilityModelLanesTest, NonFiniteEmbeddingsMatchPaddedFormula) {
+  Rng rng(12);
+  const UtilityModelConfig config = TestUtilityConfig();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double odd[] = {kInf, -kInf, kNaN, 1e300, -1e300};
+  std::vector<Broker> roster = RaggedRoster(21, &rng);
+  for (size_t i = 0; i < roster.size(); i += 3) {
+    std::vector<double>& e = roster[i].preference.housing_embedding;
+    if (!e.empty()) e[i % e.size()] = odd[i % 5];
+  }
+  auto um = UtilityModel::Create(roster, config);
+  ASSERT_TRUE(um.ok());
+  std::vector<Request> requests = RaggedRequests(23, &rng);
+  for (size_t r = 0; r < requests.size(); r += 2) {
+    std::vector<double>& x = requests[r].housing_embedding;
+    if (!x.empty()) x[(r / 2) % x.size()] = odd[(r / 2) % 5];
+  }
+  la::Matrix m = um->UtilityMatrix(requests);
+  std::vector<double> want = ExpectedMatrix(roster, requests, config);
+  size_t nan = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    // Bits, so NaN (clamp passes it through) compares too.
+    EXPECT_EQ(Bits(m.data()[i]), Bits(want[i])) << "entry " << i;
+    nan += std::isnan(want[i]) ? 1 : 0;
+  }
+  EXPECT_GT(nan, 0u);
 }
 
 TEST(UtilityModelTest, CreateValidation) {
