@@ -1,6 +1,7 @@
 // Run-time choice of the SIMD tier for the library's wide kernels: the
-// batched MLP (nn/mlp.cc), the utility rows (sim/utility_model.cc) and the
-// CBS partition (matching/selection.cc).
+// batched MLP (nn/mlp.cc), the utility rows (sim/utility_model.cc), the
+// CBS partition (matching/selection.cc) and the exact KM scan
+// (matching/assignment.cc).
 //
 // The library is compiled for the baseline ISA only (no -m flags); each
 // kernel carries wide entry points behind target attributes and runs the

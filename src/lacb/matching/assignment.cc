@@ -1,11 +1,12 @@
 #include "lacb/matching/assignment.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <limits>
-#include <numeric>
+#include <memory>
 
+#include "lacb/common/cpu.h"
+#include "lacb/common/simd.h"
 #include "lacb/common/stopwatch.h"
 #include "lacb/obs/obs.h"
 
@@ -14,111 +15,265 @@ namespace lacb::matching {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+// The per-column buffers are padded to whole vectors of the widest tier.
+constexpr size_t kMaxLanes = 8;
+constexpr int64_t kIota[kMaxLanes] = {0, 1, 2, 3, 4, 5, 6, 7};
 
-// Potential-based shortest-augmenting-path Kuhn–Munkres, minimizing the
-// total cost −weights(i, j); rows are 1..n, columns 1..m, n <= m. Every row
-// gets a column. Classic formulation (e.g. e-maxx); O(n²m). It returns the
-// textbook loop's columns, objective bits and step counts while skipping
-// that loop's wasted work (docs/matching.md, "Exact KM kernel"). Weights
-// must be finite.
-// `scan_steps` (when non-null) accumulates the Dijkstra-like column scans —
-// the quantity that actually grows cubically and that perf PRs need to
-// watch. `stats` (when non-null) additionally collects phase timings and
-// dual-update counts; both outputs are gated so the null path adds no clock
-// reads to the inner loops.
-Assignment SolveMinCost(const la::Matrix& weights, uint64_t* scan_steps,
-                        SolveStats* stats) {
-  size_t n = weights.rows();
-  size_t m = weights.cols();
-  const bool collect = stats != nullptr;
+// One thread's KM buffers, grown to the widest instance seen and reused by
+// every later solve (as selection.cc's Scratch), so a served worker
+// allocates nothing per solve.
+struct Workspace {
+  std::vector<double> u;
+  std::vector<size_t> p;
+  std::vector<size_t> used;
+  std::vector<double> lanes;  // v and minv, line-aligned inside
+  std::vector<int64_t> way;   // line-aligned inside
+};
+
+Workspace& ThreadWorkspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+// `size` elements of `buf` starting on a 64-byte line, so no vector load
+// of a whole-vector column group straddles two lines; grows `buf` as needed.
+template <class T>
+T* LineAligned(std::vector<T>* buf, size_t size) {
+  const size_t need = size + 64 / sizeof(T);
+  if (buf->size() < need) buf->resize(need);
+  void* p = buf->data();
+  size_t space = buf->size() * sizeof(T);
+  return static_cast<T*>(std::align(64, size * sizeof(T), p, space));
+}
+
+// One solve of the potential-based shortest-augmenting-path Kuhn–Munkres,
+// minimizing the total cost −weights(i, j); rows are 1..n, columns 1..m,
+// n <= m, and every row gets a column. Classic formulation (e.g. e-maxx);
+// O(n²m). Column j's v, minv and way sit at lane j − 1 of buffers padded to
+// whole 8-lane vectors.
+struct Km {
+  const double* w;  // n × m weights, row-major
+  size_t n, m;
+  double* u;        // 1..n
+  size_t* p;        // 0..m: the row holding column j, 0 for none
+  size_t* used;     // the real columns reached so far in a row's search
+  double* v;
+  double* minv;     // NaN marks a reached column and every pad lane
+  int64_t* way;
   uint64_t steps = 0;
+  SolveStats* stats = nullptr;  // null: no phase timings or counts
+};
+
+// One Dijkstra step's running state, L columns at a time.
+template <int L>
+struct ScanLanes {
+  using V = typename simd::Lanes<L>::V;
+  using M = typename simd::Lanes<L>::M;
+  double u0;     // the scanned row's potential
+  double owed;   // the previous step's delta, still owed by every minv
+  M from;        // the column whose row this step scans, splat
+  V best;        // each lane's first minimum so far
+  M best_k;      // and its column, as j − 1
+  M k;           // the columns of the current vector, as j − 1
+  V fresh;       // a row's first step: its minv, ∞ (NaN on pad lanes)
+  V finite;      // a row's first step: 0 while every weight is finite
+};
+
+// The textbook step over columns k..k+L−1, element by element: the folded
+// decrement mv = minv − owed, then cur = −w − u0 − v and strict < for both
+// compares, in that order. A reached column's NaN minv fails both compares,
+// so it keeps its way and is never picked. A row's first step (kFirst)
+// starts from minv = ∞, which owes nothing yet, so it loads no minv.
+template <int L, bool kFirst>
+LACB_TILE void ScanVector(ScanLanes<L>& s, const double* w, double* minv,
+                          const double* v, int64_t* way) {
+  using V = typename simd::Lanes<L>::V;
+  using M = typename simd::Lanes<L>::M;
+  V x;
+  simd::Load(x, w);
+  V mv;
+  if constexpr (kFirst) {
+    // x − x is 0 for a finite x and NaN for a NaN or infinite one.
+    s.finite += x - x;
+    mv = s.fresh;
+  } else {
+    simd::Load(mv, minv);
+    mv = mv - s.owed;
+  }
+  V col_v;
+  simd::Load(col_v, v);
+  const V cur = -x - s.u0 - col_v;
+  const M better = cur < mv;
+  mv = better ? cur : mv;
+  simd::Store(minv, mv);
+  M back;
+  simd::Load(back, way);
+  back = better ? s.from : back;
+  simd::Store(way, back);
+  const M take = mv < s.best;
+  s.best = take ? mv : s.best;
+  s.best_k = take ? s.k : s.best_k;
+  s.k += L;
+}
+
+// One Dijkstra step over every column of `row`, reached ones masked: the
+// column a 1..m scan would pick (the first minimum), as j − 1, or −1 if
+// no column is reachable. A row's first step reads all of that row before
+// any later step reads it, so kFirst also returns −1 when one of its
+// weights is NaN or infinite.
+template <int L, bool kFirst>
+LACB_TILE int64_t ScanRow(const Km& km, const double* row, double u0,
+                          double owed, size_t from) {
+  using V = typename simd::Lanes<L>::V;
+  using M = typename simd::Lanes<L>::M;
+  ScanLanes<L> s;
+  s.u0 = u0;
+  s.owed = owed;
+  s.from = M{} + static_cast<int64_t>(from);
+  s.best = V{} + kInf;
+  s.best_k = M{};
+  simd::Load(s.k, kIota);
+  s.fresh = V{} + kInf;
+  s.finite = V{};
+  // Locals, so the vector stores below cannot alias what the loop reads.
+  const size_t m = km.m;
+  double* const minv = km.minv;
+  const double* const v = km.v;
+  int64_t* const way = km.way;
+  size_t k = 0;
+  for (; k + L <= m; k += L) {
+    ScanVector<L, kFirst>(s, row + k, minv + k, v + k, way + k);
+  }
+  if (k < m) {
+    // The last partial vector reads a zero-padded copy, so no load passes
+    // the end of the last row; its pad lanes' NaN minv masks them.
+    double tail[L];
+    double fresh[L];
+    for (size_t l = 0; l < L; ++l) {
+      tail[l] = k + l < m ? row[k + l] : 0.0;
+      fresh[l] = k + l < m ? kInf : kNaN;
+    }
+    simd::Load(s.fresh, fresh);
+    ScanVector<L, kFirst>(s, tail, minv + k, v + k, way + k);
+  }
+  if constexpr (kFirst) {
+    for (int l = 0; l < L; ++l) {
+      if (!(s.finite[l] == 0.0)) return -1;
+    }
+  }
+  // Each lane holds its first minimum, so the lowest column among the
+  // lanes equal to the least is the first minimum of the whole row (-0.0
+  // and +0.0 compare equal, as in the scalar scan). Halving tree: that
+  // order is total, so any pairing finds the same lane.
+  double best[L];
+  int64_t best_k[L];
+  simd::Store(best, s.best);
+  simd::Store(best_k, s.best_k);
+  for (int h = L / 2; h > 0; h /= 2) {
+    for (int l = 0; l < h; ++l) {
+      const bool other = best[l + h] < best[l] ||
+                         (best[l + h] == best[l] && best_k[l + h] < best_k[l]);
+      best[l] = other ? best[l + h] : best[l];
+      best_k[l] = other ? best_k[l + h] : best_k[l];
+    }
+  }
+  return best[0] < kInf ? best_k[0] : -1;
+}
+
+// The whole solve: false if a weight is NaN or infinite, or a step reaches
+// no column, in which case `km`'s outputs are meaningless. It returns the
+// textbook loop's columns and step counts while skipping that loop's
+// wasted work (docs/matching.md, "Exact KM kernel").
+template <int L>
+LACB_TILE bool SolveMinCost(Km& km) {
+  const size_t n = km.n;
+  const size_t m = km.m;
+  SolveStats* stats = km.stats;
   Stopwatch phase_sw;
-  std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0), minv(m + 1);
-  std::vector<size_t> p(m + 1, 0), way(m + 1, 0);
-  // Columns not yet reached this row, ascending (so the first minimum wins
-  // ties exactly as in a full 1..m scan), and the reached ones, column 0
-  // (the row's own slot) first.
-  std::vector<size_t> free_cols, used_cols;
-  used_cols.reserve(m + 1);
+  uint64_t steps = 0;
   for (size_t i = 1; i <= n; ++i) {
-    p[0] = i;
+    km.p[0] = i;
     size_t j0 = 0;
-    std::fill(minv.begin(), minv.end(), kInf);
-    free_cols.resize(m);
-    std::iota(free_cols.begin(), free_cols.end(), size_t{1});
-    used_cols.clear();
-    // The previous step's delta, still owed by every free column's minv.
+    size_t num_used = 0;
     double owed = 0.0;
-    uint64_t steps_before = steps;
-    if (collect) phase_sw.Restart();
+    const uint64_t steps_before = steps;
+    if (stats != nullptr) phase_sw.Restart();
     do {
       ++steps;
-      used_cols.push_back(j0);
-      size_t i0 = p[j0];
-      const double* row = weights.RowPtr(i0 - 1);
-      const double u0 = u[i0];
-      size_t j1 = 0;
-      size_t k1 = 0;
-      double delta = kInf;
-      for (size_t k = 0; k < free_cols.size(); ++k) {
-        size_t j = free_cols[k];
-        double mv = minv[j] - owed;
-        double cur = -row[j - 1] - u0 - v[j];
-        if (cur < mv) {
-          mv = cur;
-          way[j] = j0;
-        }
-        minv[j] = mv;
-        if (mv < delta) {
-          delta = mv;
-          j1 = j;
-          k1 = k;
-        }
+      if (j0 != 0) {
+        km.used[num_used++] = j0;
+        km.minv[j0 - 1] = kNaN;
       }
-      // Each used column holds a distinct row, so the order of these
-      // updates cannot change any bit.
-      for (size_t j : used_cols) {
-        u[p[j]] += delta;
-        v[j] -= delta;
+      const size_t i0 = km.p[j0];
+      const double* row = km.w + (i0 - 1) * m;
+      const int64_t k1 =
+          j0 == 0 ? ScanRow<L, true>(km, row, km.u[i0], owed, j0)
+                  : ScanRow<L, false>(km, row, km.u[i0], owed, j0);
+      if (k1 < 0) return false;
+      // Read back, so a ±0 tie keeps the chosen element's own bits.
+      const double delta = km.minv[k1];
+      // Column 0 is the row's own slot; its v is never read. Each reached
+      // column holds a distinct row, so the order of these updates cannot
+      // change any bit.
+      km.u[i] += delta;
+      for (size_t t = 0; t < num_used; ++t) {
+        const size_t j = km.used[t];
+        km.u[km.p[j]] += delta;
+        km.v[j - 1] -= delta;
       }
-      free_cols.erase(free_cols.begin() + static_cast<std::ptrdiff_t>(k1));
       owed = delta;
-      j0 = j1;
-    } while (p[j0] != 0);
-    if (collect) {
+      j0 = static_cast<size_t>(k1) + 1;
+    } while (km.p[j0] != 0);
+    if (stats != nullptr) {
       stats->phase_search_seconds += phase_sw.ElapsedSeconds();
       // Scan step s of this row applies a (u, v) dual adjustment to every
       // column marked used so far — exactly s of them — so a row that took
       // S steps performed S(S+1)/2 adjustments in total.
-      uint64_t s = steps - steps_before;
+      const uint64_t s = steps - steps_before;
       stats->dual_updates += s * (s + 1) / 2;
       phase_sw.Restart();
     }
     do {
-      size_t j1 = way[j0];
-      p[j0] = p[j1];
+      const size_t j1 = static_cast<size_t>(km.way[j0 - 1]);
+      km.p[j0] = km.p[j1];
       j0 = j1;
     } while (j0 != 0);
-    if (collect) {
+    if (stats != nullptr) {
       stats->phase_update_seconds += phase_sw.ElapsedSeconds();
       ++stats->augmenting_paths;
     }
   }
-  if (collect) stats->iterations += steps;
-  // Summed in the cost domain, then negated, so even the sign of a zero
-  // total matches a solve over an explicit cost matrix.
-  double cost = 0.0;
-  Assignment out;
-  out.col_of_row.assign(n, kUnmatched);
-  for (size_t j = 1; j <= m; ++j) {
-    if (p[j] != 0) {
-      out.col_of_row[p[j] - 1] = static_cast<int64_t>(j - 1);
-      cost += -weights(p[j] - 1, j - 1);
-    }
+  if (stats != nullptr) stats->iterations += steps;
+  km.steps = steps;
+  return true;
+}
+
+// The kernel's only out-of-line entries, one per tier (common/cpu.h). Each
+// starts on a 64-byte line, so its loops keep their alignment wherever the
+// linker places it.
+using SolveFn = bool (*)(Km&);
+[[gnu::aligned(64)]] bool SolveMinCost2(Km& km) { return SolveMinCost<2>(km); }
+#if defined(__x86_64__)
+[[gnu::aligned(64), LACB_TARGET_LANES4]] bool SolveMinCost4(Km& km) {
+  return SolveMinCost<4>(km);
+}
+[[gnu::aligned(64), LACB_TARGET_LANES8]] bool SolveMinCost8(Km& km) {
+  return SolveMinCost<8>(km);
+}
+#endif
+
+SolveFn SolveFor(size_t lanes) {
+  switch (lanes) {
+#if defined(__x86_64__)
+    case 8:
+      return SolveMinCost8;
+    case 4:
+      return SolveMinCost4;
+#endif
+    default:
+      return SolveMinCost2;
   }
-  out.total_weight = -cost;
-  if (scan_steps != nullptr) *scan_steps += steps;
-  return out;
 }
 
 }  // namespace
@@ -132,35 +287,63 @@ Result<Assignment> MaxWeightAssignment(const la::Matrix& weights,
   }
   LACB_TRACE_SPAN("km_solve");
   Stopwatch total_sw;
-  Stopwatch build_sw;
+  const size_t n = weights.rows();
+  const size_t m = weights.cols();
+  const size_t padded = (m + kMaxLanes - 1) / kMaxLanes * kMaxLanes;
+  Workspace& ws = ThreadWorkspace();
+  ws.u.assign(n + 1, 0.0);
+  ws.p.assign(m + 1, 0);
+  if (ws.used.size() < m) ws.used.resize(m);
+  Km km;
+  km.w = weights.data().data();
+  km.n = n;
+  km.m = m;
+  km.u = ws.u.data();
+  km.p = ws.p.data();
+  km.used = ws.used.data();
+  km.v = LineAligned(&ws.lanes, 2 * padded);
+  km.minv = km.v + padded;
+  km.way = LineAligned(&ws.way, padded);
+  std::fill(km.v, km.v + padded, 0.0);
+  // Kept apart until the solve succeeds: a refused solve leaves `stats`
+  // as it was.
+  SolveStats one;
+  if (stats != nullptr) km.stats = &one;
+  const double build_seconds = total_sw.ElapsedSeconds();
   // A NaN or infinite weight would keep the scan from ever reaching a free
-  // column, so the solve would never end.
-  for (double w : weights.data()) {
-    if (!std::isfinite(w)) {
-      return Status::InvalidArgument(
-          "MaxWeightAssignment requires finite weights");
+  // column, so the solve would never end; the kernel refuses it instead.
+  if (!SolveFor(KernelLanes())(km)) {
+    return Status::InvalidArgument(
+        "MaxWeightAssignment requires finite weights");
+  }
+  // Summed in the cost domain, then negated, so even the sign of a zero
+  // total matches a solve over an explicit cost matrix.
+  double cost = 0.0;
+  Assignment a;
+  a.col_of_row.assign(n, kUnmatched);
+  for (size_t j = 1; j <= m; ++j) {
+    if (km.p[j] != 0) {
+      a.col_of_row[km.p[j] - 1] = static_cast<int64_t>(j - 1);
+      cost += -weights(km.p[j] - 1, j - 1);
     }
   }
-  double build_seconds = build_sw.ElapsedSeconds();
-  uint64_t scan_steps = 0;
-  Assignment a = SolveMinCost(weights, &scan_steps, stats);
+  a.total_weight = -cost;
   if (stats != nullptr) {
-    SolveStats one;
     one.solver = "km";
-    one.rows = weights.rows();
-    one.cols = weights.cols();
+    one.rows = n;
+    one.cols = m;
     one.solves = 1;
     one.objective = a.total_weight;
     one.phase_build_seconds = build_seconds;
     one.total_seconds = total_sw.ElapsedSeconds();
-    // SolveMinCost already accumulated iterations / paths / duals / phase
-    // timings directly into `stats`; fold in the per-call envelope.
     stats->MergeFrom(one);
   }
-  obs::MetricRegistry& registry = obs::ActiveRegistry();
-  registry.GetCounter("matching.km.solves").Increment();
-  registry.GetCounter("matching.km.rows").Increment(weights.rows());
-  registry.GetCounter("matching.km.scan_steps").Increment(scan_steps);
+  thread_local obs::ActiveCounter solves("matching.km.solves");
+  thread_local obs::ActiveCounter rows("matching.km.rows");
+  thread_local obs::ActiveCounter scan_steps("matching.km.scan_steps");
+  solves.Get().Increment();
+  rows.Get().Increment(n);
+  scan_steps.Get().Increment(km.steps);
   return a;
 }
 

@@ -38,10 +38,12 @@ struct Assignment {
 /// paper's complete-bipartite setting — edges may carry negative refined
 /// utilities and are still usable). The solver reads `weights` in place,
 /// negating each entry as it loads it, so no cost matrix is built.
-/// O(rows²·cols) time. InvalidArgument if any weight is NaN or infinite.
-/// When `stats` is non-null, per-solve introspection (scan steps, dual
-/// updates, phase timings — the build phase is the finiteness check) is
-/// merged into it; the null default skips all bookkeeping.
+/// O(rows²·cols) time. InvalidArgument if any weight is NaN or infinite
+/// (the scan checks each row as it first reads it; `stats` is then left
+/// as it was). When `stats` is non-null, per-solve introspection (scan
+/// steps, dual updates, phase timings) is merged into it; the build phase
+/// is only the per-thread workspace setup and reads about 0. The null
+/// default skips all bookkeeping.
 Result<Assignment> MaxWeightAssignment(const la::Matrix& weights,
                                        SolveStats* stats = nullptr);
 

@@ -30,6 +30,15 @@ Tracer& ActiveTracer() {
 
 EventRecorder* ActiveEventRecorder() { return tl_recorder; }
 
+Counter& ActiveCounter::Get() {
+  MetricRegistry& registry = ActiveRegistry();
+  if (registry.id() != registry_id_) {
+    counter_ = &registry.GetCounter(name_);
+    registry_id_ = registry.id();
+  }
+  return *counter_;
+}
+
 ScopedContextAdoption::ScopedContextAdoption(MetricRegistry* registry,
                                              Tracer* tracer,
                                              EventRecorder* recorder)

@@ -34,6 +34,27 @@ Tracer& ActiveTracer();
 /// one). Every LACB_TRACE_SPAN on the thread records into it.
 EventRecorder* ActiveEventRecorder();
 
+/// \brief A call site's handle on one counter of this thread's active
+/// registry. Get() looks the name up (a string search under the registry
+/// mutex) only when the active registry changed since its last call, so a
+/// per-request or per-solve site pays that once per run. The cache is
+/// unsynchronized: keep one handle per thread (`thread_local`). It is keyed
+/// on MetricRegistry::id(), never on the address, which a later registry
+/// may reuse.
+class ActiveCounter {
+ public:
+  explicit constexpr ActiveCounter(const char* name) : name_(name) {}
+  ActiveCounter(const ActiveCounter&) = delete;
+  ActiveCounter& operator=(const ActiveCounter&) = delete;
+
+  Counter& Get();
+
+ private:
+  const char* name_;
+  uint64_t registry_id_ = 0;
+  Counter* counter_ = nullptr;
+};
+
 /// \brief Installs an *existing* registry + tracer (owned elsewhere) as
 /// this thread's active context for the guard's lifetime. This is how a
 /// worker-thread pool points its threads at the run-scoped telemetry of

@@ -169,6 +169,9 @@ bool IsValidInstrumentName(const std::string& name) {
 }
 
 namespace {
+
+std::atomic<uint64_t> g_next_registry_id{1};
+
 const char* KindName(int kind) {
   switch (kind) {
     case 0:
@@ -198,6 +201,9 @@ void MetricRegistry::RegisterName(const std::string& name,
     LACB_CHECK(it->second == kind);
   }
 }
+
+MetricRegistry::MetricRegistry()
+    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Counter& MetricRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);

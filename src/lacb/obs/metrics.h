@@ -144,9 +144,14 @@ bool IsValidInstrumentName(const std::string& name);
 /// exporters.
 class MetricRegistry {
  public:
-  MetricRegistry() = default;
+  MetricRegistry();
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
+
+  /// \brief Process-unique and never reused, unlike the registry's address
+  /// (a registry destroyed and the next one built may share it), so it can
+  /// key a cache of this registry's instruments (ActiveCounter).
+  uint64_t id() const { return id_; }
 
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
@@ -181,6 +186,7 @@ class MetricRegistry {
   /// hold mu_).
   void SetHelpLocked(const std::string& name, const std::string& help);
 
+  const uint64_t id_;
   mutable std::mutex mu_;
   std::map<std::string, InstrumentKind> kinds_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

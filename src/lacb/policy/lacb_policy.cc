@@ -104,9 +104,9 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
     LACB_RETURN_NOT_OK(matching::approx::GatherRefinedColumns(
         u, eligible, column_delta, &refined));
     if (refined_brokers > 0) {
-      obs::ActiveRegistry()
-          .GetCounter("lacb.refined_broker_columns")
-          .Increment(refined_brokers);
+      thread_local obs::ActiveCounter refined_columns(
+          "lacb.refined_broker_columns");
+      refined_columns.Get().Increment(refined_brokers);
     }
   }
 
@@ -119,9 +119,8 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
     LACB_RETURN_NOT_OK(
         matching::RestrictColumns(refined, active, &scratch_.pruned));
     solve_matrix = &scratch_.pruned;
-    obs::ActiveRegistry()
-        .GetCounter("lacb.cbs_pruned_columns")
-        .Increment(eligible.size() - active.size());
+    thread_local obs::ActiveCounter pruned_columns("lacb.cbs_pruned_columns");
+    pruned_columns.Get().Increment(eligible.size() - active.size());
   } else {
     active.resize(eligible.size());
     for (size_t i = 0; i < active.size(); ++i) active[i] = i;

@@ -38,7 +38,8 @@ double CapacityValueFunction::RefinementDelta(double residual) const {
 void CapacityValueFunction::TerminalUpdate(double residual) {
   size_t idx = Index(residual);
   table_[idx] += learning_rate_ * (0.0 - table_[idx]);
-  obs::ActiveRegistry().GetCounter("vf.terminal_updates").Increment();
+  thread_local obs::ActiveCounter terminal_updates("vf.terminal_updates");
+  terminal_updates.Get().Increment();
 }
 
 void CapacityValueFunction::Update(double residual_before,
@@ -46,7 +47,8 @@ void CapacityValueFunction::Update(double residual_before,
   size_t idx = Index(residual_before);
   double target = reward + discount_ * Value(residual_after);
   table_[idx] += learning_rate_ * (target - table_[idx]);
-  obs::ActiveRegistry().GetCounter("vf.td_updates").Increment();
+  thread_local obs::ActiveCounter td_updates("vf.td_updates");
+  td_updates.Get().Increment();
 }
 
 }  // namespace lacb::policy

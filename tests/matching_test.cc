@@ -6,12 +6,16 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 
+#include "kernel_lanes.h"
 #include "lacb/common/rng.h"
 #include "lacb/common/stopwatch.h"
 #include "lacb/matching/assignment.h"
 #include "lacb/matching/min_cost_flow.h"
 #include "lacb/matching/solve_stats.h"
+#include "lacb/obs/context.h"
 
 namespace lacb::matching {
 namespace {
@@ -276,25 +280,26 @@ TEST(AssignmentTest, RejectsNonFiniteWeights) {
   }
 }
 
-// Property: the production kernel returns exactly what the textbook kernel
-// returns — same columns, same objective bits, same step counts — over the
-// offline padded shape, rectangles, squares, transposes, negative weights
-// and integer weights with many ties.
-TEST(AssignmentTest, KernelMatchesTextbookBitForBit) {
-  Rng rng(20260917);
-  auto fill = [&rng](size_t rows, size_t cols, int kind) {
-    la::Matrix w(rows, cols);
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols; ++c) {
-        switch (kind) {
-          case 0: w(r, c) = rng.Uniform(); break;
-          case 1: w(r, c) = rng.Uniform(-1.0, 0.5); break;
-          default: w(r, c) = static_cast<double>(rng.UniformInt(-2, 3));
-        }
+// Fills a rows × cols matrix: uniform [0, 1), uniform [-1, 0.5), or
+// integers in [-2, 3] (many ties).
+la::Matrix Fill(size_t rows, size_t cols, int kind, Rng* rng) {
+  la::Matrix w(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      switch (kind) {
+        case 0: w(r, c) = rng->Uniform(); break;
+        case 1: w(r, c) = rng->Uniform(-1.0, 0.5); break;
+        default: w(r, c) = static_cast<double>(rng->UniformInt(-2, 3));
       }
     }
-    return w;
-  };
+  }
+  return w;
+}
+
+// The offline padded shape, rectangles, squares, transposes, negative
+// weights and integer weights with many ties.
+std::vector<la::Matrix> TextbookCases() {
+  Rng rng(20260917);
   // All zeros: the objective is a signed zero, whose sign must match too.
   std::vector<la::Matrix> cases = {la::Matrix(3, 5, 0.0)};
   for (int kind = 0; kind < 3; ++kind) {
@@ -302,32 +307,118 @@ TEST(AssignmentTest, KernelMatchesTextbookBitForBit) {
       // The offline exact shape: a few real rows padded to |B| brokers.
       size_t real = 1 + static_cast<size_t>(rng.UniformInt(0, 2));
       size_t brokers = static_cast<size_t>(rng.UniformInt(8, 111));
-      cases.push_back(PadToSquare(fill(real, brokers, kind)).value());
+      cases.push_back(PadToSquare(Fill(real, brokers, kind, &rng)).value());
       size_t rows = static_cast<size_t>(rng.UniformInt(1, 24));
       size_t cols = rows + static_cast<size_t>(rng.UniformInt(0, 40));
-      cases.push_back(fill(rows, cols, kind));
-      cases.push_back(fill(rows, rows, kind));
-      cases.push_back(fill(cols, rows, kind).Transposed());
+      cases.push_back(Fill(rows, cols, kind, &rng));
+      cases.push_back(Fill(rows, rows, kind, &rng));
+      cases.push_back(Fill(cols, rows, kind, &rng).Transposed());
     }
   }
+  return cases;
+}
+
+// The production kernel returns exactly what the textbook kernel returns:
+// same columns, same objective bits, same step counts.
+void ExpectMatchesTextbook(const la::Matrix& w, const std::string& what) {
+  SolveStats want_stats;
+  SolveStats got_stats;
+  Assignment want = TextbookMaxWeight(w, &want_stats);
+  auto got = MaxWeightAssignment(w, &got_stats);
+  ASSERT_TRUE(got.ok()) << what;
+  EXPECT_EQ(got->col_of_row, want.col_of_row) << what;
+  EXPECT_EQ(
+      std::memcmp(&got->total_weight, &want.total_weight, sizeof(double)), 0)
+      << what << ": " << got->total_weight << " vs " << want.total_weight;
+  EXPECT_EQ(got_stats.iterations, want_stats.iterations) << what;
+  EXPECT_EQ(got_stats.augmenting_paths, want_stats.augmenting_paths) << what;
+  EXPECT_EQ(got_stats.dual_updates, want_stats.dual_updates) << what;
+}
+
+// The KM scan runs at every kernel width this CPU supports (8, 4 and 2
+// lanes) and must match the textbook kernel byte for byte at each.
+class KmKernelLanesTest : public KernelLanesTest {};
+LACB_INSTANTIATE_KERNEL_LANES(KmKernelLanesTest);
+
+TEST_P(KmKernelLanesTest, MatchesTextbookBitForBit) {
+  std::vector<la::Matrix> cases = TextbookCases();
+  Rng rng(77);
+  // Every column count up to 19 puts a partial last vector at each width.
+  for (size_t cols = 1; cols <= 19; ++cols) {
+    for (size_t rows : {size_t{1}, (cols + 1) / 2, cols}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        cases.push_back(Fill(rows, cols, kind, &rng));
+      }
+    }
+  }
+  // The served saturation shape: 64 requests over a pruned broker set.
+  cases.push_back(Fill(64, 736, 0, &rng));
+  cases.push_back(Fill(64, 736, 2, &rng));
+  // Signed zeros only: every tie is between -0.0 and +0.0.
+  la::Matrix zeros(9, 13);
+  for (double& x : zeros.data()) x = rng.Uniform() < 0.5 ? -0.0 : 0.0;
+  cases.push_back(zeros);
+  cases.push_back(Fill(17, 23, 2, &rng));
+  // Every row prefers column 0, then 1, …: each new row displaces a chain
+  // of earlier ones.
+  la::Matrix chains(30, 37);
+  for (size_t r = 0; r < chains.rows(); ++r) {
+    for (size_t c = 0; c < chains.cols(); ++c) {
+      chains(r, c) = 40.0 - static_cast<double>(c) + 1e-3 * rng.Uniform();
+    }
+  }
+  cases.push_back(chains);
   for (size_t t = 0; t < cases.size(); ++t) {
     const la::Matrix& w = cases[t];
-    SolveStats want_stats;
-    SolveStats got_stats;
-    Assignment want = TextbookMaxWeight(w, &want_stats);
-    auto got = MaxWeightAssignment(w, &got_stats);
-    ASSERT_TRUE(got.ok()) << "case " << t;
-    EXPECT_EQ(got->col_of_row, want.col_of_row) << "case " << t;
-    EXPECT_EQ(std::memcmp(&got->total_weight, &want.total_weight,
-                          sizeof(double)),
-              0)
-        << "case " << t << ": " << got->total_weight << " vs "
-        << want.total_weight;
-    EXPECT_EQ(got_stats.iterations, want_stats.iterations) << "case " << t;
-    EXPECT_EQ(got_stats.augmenting_paths, want_stats.augmenting_paths)
-        << "case " << t;
-    EXPECT_EQ(got_stats.dual_updates, want_stats.dual_updates)
-        << "case " << t;
+    ExpectMatchesTextbook(w, "case " + std::to_string(t) + " (" +
+                                 std::to_string(w.rows()) + "x" +
+                                 std::to_string(w.cols()) + ")");
+  }
+}
+
+TEST_P(KmKernelLanesTest, RefusesNonFiniteWeightsAnywhere) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  // 19 columns leave a partial last vector at every width; the last
+  // position lies in it.
+  const std::pair<size_t, size_t> where[] = {{0, 3}, {2, 10}, {4, 0}, {4, 18}};
+  Rng rng(78);
+  const la::Matrix good = Fill(5, 19, 0, &rng);
+  for (double x : bad) {
+    for (auto [r, c] : where) {
+      la::Matrix w = good;
+      w(r, c) = x;
+      SolveStats stats;
+      auto a = MaxWeightAssignment(w, &stats);
+      ASSERT_FALSE(a.ok()) << x << " at " << r << "," << c;
+      EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(a.status().message(),
+                "MaxWeightAssignment requires finite weights");
+      EXPECT_EQ(stats.solves, 0u);
+      EXPECT_EQ(stats.iterations, 0u);
+      // The refused solve leaves nothing behind for the next one.
+      ExpectMatchesTextbook(good, "after a refused solve");
+    }
+  }
+}
+
+// The KM counters are cached per thread. Two telemetry scopes in a row
+// (the second registry may take the first one's address) must each count
+// only their own solves.
+TEST(AssignmentTest, CountersFollowEachTelemetryScope) {
+  Rng rng(79);
+  const la::Matrix w = RandomWeights(3, 5, &rng);
+  for (uint64_t solves = 1; solves <= 3; ++solves) {
+    obs::ScopedTelemetry telemetry;
+    SolveStats stats;
+    for (uint64_t s = 0; s < solves; ++s) {
+      ASSERT_TRUE(MaxWeightAssignment(w, &stats).ok());
+    }
+    obs::MetricsSnapshot snap = telemetry.registry().Snapshot();
+    EXPECT_EQ(snap.counters["matching.km.solves"], solves);
+    EXPECT_EQ(snap.counters["matching.km.rows"], 3 * solves);
+    EXPECT_EQ(snap.counters["matching.km.scan_steps"], stats.iterations);
   }
 }
 
