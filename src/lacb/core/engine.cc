@@ -7,7 +7,7 @@
 #include "lacb/core/metrics.h"
 #include "lacb/matching/assignment.h"
 #include "lacb/obs/obs.h"
-#include "lacb/policy/lacb_policy.h"
+#include "lacb/policy/capacity_stage.h"
 
 namespace lacb::core {
 
@@ -132,15 +132,10 @@ Result<PolicyRunResult> RunPolicy(const sim::DatasetConfig& config,
     reg.GetGauge("engine.day_utility").Set(outcome.realized_utility);
     reg.GetGauge("engine.workload_gini")
         .Set(GiniCoefficient(outcome.per_broker_workload));
-    if (auto* lacb = dynamic_cast<policy::LacbPolicy*>(policy);
-        lacb != nullptr && lacb->capacities().size() == n) {
-      double abs_err = 0.0;
-      for (size_t b = 0; b < n; ++b) {
-        abs_err += std::abs(lacb->capacities()[b] -
-                            platform.brokers()[b].latent.true_capacity);
-      }
+    if (const policy::CapacityStage* stage = policy->capacity_stage();
+        stage != nullptr && stage->capacities().size() == n) {
       reg.GetGauge("engine.capacity_mae")
-          .Set(abs_err / static_cast<double>(std::max<size_t>(1, n)));
+          .Set(stage->MeanAbsoluteError(platform));
     }
   }
   double d = static_cast<double>(std::max<size_t>(1, days));

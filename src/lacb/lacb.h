@@ -44,6 +44,7 @@
 #include "lacb/obs/obs.h"
 #include "lacb/policy/an_policy.h"
 #include "lacb/policy/assignment_policy.h"
+#include "lacb/policy/capacity_stage.h"
 #include "lacb/policy/flow_policy.h"
 #include "lacb/policy/greedy_policy.h"
 #include "lacb/policy/km_policy.h"

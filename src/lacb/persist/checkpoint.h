@@ -27,7 +27,9 @@ namespace lacb::persist {
 
 inline constexpr char kCheckpointMagic[8] = {'L', 'A', 'C', 'B',
                                              'C', 'K', 'P', 'T'};
-inline constexpr uint32_t kCheckpointVersion = 1;
+// Version 2: a served policy's capacity stage (estimator, capacities, hit
+// counts) is saved once, in replica.0, rather than in every replica.<i>.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 struct CheckpointSection {
   std::string name;

@@ -3,7 +3,8 @@
 // A single generic NeuralUCB bandit (Zhou et al.) estimates one capacity
 // per broker per day from the broker's context; each batch is then solved
 // by capacity-filtered KM. No personalization, no value function — this
-// isolates what plain neural-bandit capacity estimation buys.
+// isolates what plain neural-bandit capacity estimation buys. The bandit
+// runs as LACB's CapacityStage with personalization switched off.
 
 #ifndef LACB_POLICY_AN_POLICY_H_
 #define LACB_POLICY_AN_POLICY_H_
@@ -30,20 +31,13 @@ class AnPolicy : public AssignmentPolicy {
 
   std::string name() const override { return "AN"; }
 
-  Status BeginDay(const sim::Platform& platform, size_t day) override;
+  Status Initialize(const sim::Platform& platform) override;
   Result<std::vector<int64_t>> AssignBatch(const BatchInput& input) override;
-  Status EndDay(const sim::DayOutcome& outcome) override;
-
-  Status SaveState(persist::ByteWriter* w) const override;
-  Status LoadState(persist::ByteReader* r) override;
 
  private:
-  AnPolicy(AnPolicyConfig config, bandit::NeuralUcb bandit)
-      : config_(std::move(config)), bandit_(std::move(bandit)) {}
+  explicit AnPolicy(AnPolicyConfig config) : config_(std::move(config)) {}
 
   AnPolicyConfig config_;
-  bandit::NeuralUcb bandit_;
-  std::vector<double> capacity_;  // today's per-broker estimates
 };
 
 }  // namespace lacb::policy

@@ -2,8 +2,45 @@
 
 #include "lacb/matching/approx/scoring.h"
 #include "lacb/matching/assignment.h"
+#include "lacb/policy/capacity_stage.h"
 
 namespace lacb::policy {
+
+Status AssignmentPolicy::BeginDay(const sim::Platform& platform, size_t day) {
+  (void)day;
+  return built_stage() ? built_stage()->BeginDay(platform) : Status::OK();
+}
+
+Status AssignmentPolicy::EndDay(const sim::DayOutcome& outcome) {
+  return built_stage() ? built_stage()->EndDay(outcome) : Status::OK();
+}
+
+Status AssignmentPolicy::SaveState(persist::ByteWriter* w) const {
+  return built_stage() ? built_stage()->SaveState(w) : Status::OK();
+}
+
+Status AssignmentPolicy::LoadState(persist::ByteReader* r) {
+  return built_stage() ? built_stage()->LoadState(r) : Status::OK();
+}
+
+Status AssignmentPolicy::InitializeCapacityStage(
+    const capacity::PersonalizedEstimatorConfig& config, size_t num_brokers) {
+  if (!builds_capacity_stage_) return Status::OK();
+  LACB_ASSIGN_OR_RETURN(
+      capacity::PersonalizedCapacityEstimator estimator,
+      capacity::PersonalizedCapacityEstimator::Create(config, num_brokers));
+  capacity_stage_ = std::make_shared<CapacityStage>(std::move(estimator));
+  return Status::OK();
+}
+
+Result<const std::vector<double>*> AssignmentPolicy::TodaysCapacities(
+    size_t num_brokers) const {
+  if (capacity_stage_ == nullptr ||
+      capacity_stage_->capacities().size() != num_brokers) {
+    return Status::FailedPrecondition(name() + " policy day was not begun");
+  }
+  return &capacity_stage_->capacities();
+}
 
 Result<std::vector<int64_t>> SolveBatchAssignment(
     const la::Matrix& utility, const std::vector<size_t>& eligible,

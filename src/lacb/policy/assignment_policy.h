@@ -21,7 +21,13 @@
 #include "lacb/persist/bytes.h"
 #include "lacb/sim/platform.h"
 
+namespace lacb::capacity {
+struct PersonalizedEstimatorConfig;
+}  // namespace lacb::capacity
+
 namespace lacb::policy {
+
+class CapacityStage;
 
 /// \brief Everything a policy may inspect when assigning one batch.
 struct BatchInput {
@@ -52,34 +58,21 @@ class AssignmentPolicy {
     return Status::OK();
   }
 
-  /// \brief Day preamble (capacity estimation happens here).
-  virtual Status BeginDay(const sim::Platform& platform, size_t day) {
-    (void)platform;
-    (void)day;
-    return Status::OK();
-  }
+  /// \brief Day preamble. The default, like EndDay, SaveState and
+  /// LoadState, drives the capacity stage this policy built, if any.
+  virtual Status BeginDay(const sim::Platform& platform, size_t day);
 
   /// \brief Returns assignment[i] = broker index (or -1) per request.
   virtual Result<std::vector<int64_t>> AssignBatch(const BatchInput& input) = 0;
 
   /// \brief Day epilogue with the platform's feedback.
-  virtual Status EndDay(const sim::DayOutcome& outcome) {
-    (void)outcome;
-    return Status::OK();
-  }
+  virtual Status EndDay(const sim::DayOutcome& outcome);
 
   /// \brief Serializes all mutable policy state (bandit posteriors, value
   /// tables, RNG streams) for checkpointing. LoadState must restore a
-  /// policy created from the same configuration bit-exactly. Stateless
-  /// policies keep the no-op default.
-  virtual Status SaveState(persist::ByteWriter* w) const {
-    (void)w;
-    return Status::OK();
-  }
-  virtual Status LoadState(persist::ByteReader* r) {
-    (void)r;
-    return Status::OK();
-  }
+  /// policy created from the same configuration bit-exactly.
+  virtual Status SaveState(persist::ByteWriter* w) const;
+  virtual Status LoadState(persist::ByteReader* r);
 
   /// \brief Solver introspection for the most recent AssignBatch, or null
   /// when the batch did not request stats (or the policy runs no solver).
@@ -87,7 +80,26 @@ class AssignmentPolicy {
     return solve_stats_valid_ ? &solve_stats_ : nullptr;
   }
 
+  /// \brief The capacity stage (Sec. V) this policy assigns under; null for
+  /// a capacity-oblivious policy or before Initialize.
+  CapacityStage* capacity_stage() const { return capacity_stage_.get(); }
+
+  /// \brief Call before Initialize: this policy then assigns under the
+  /// initialized `lead`'s stage, which only `lead` trains and saves.
+  void ShareCapacityStageOf(const AssignmentPolicy& lead) {
+    capacity_stage_ = lead.capacity_stage_;
+    builds_capacity_stage_ = false;
+  }
+
  protected:
+  /// \brief A capacity-estimating policy's Initialize builds its stage.
+  Status InitializeCapacityStage(
+      const capacity::PersonalizedEstimatorConfig& config, size_t num_brokers);
+
+  /// \brief Today's capacities; FailedPrecondition until a day over
+  /// `num_brokers` brokers has begun.
+  Result<const std::vector<double>*> TodaysCapacities(size_t num_brokers) const;
+
   /// \brief Policies call this at the top of AssignBatch: resets the
   /// per-batch record and returns the stats sink to thread into solver
   /// calls (null when the batch did not opt in).
@@ -100,6 +112,11 @@ class AssignmentPolicy {
  private:
   matching::SolveStats solve_stats_;
   bool solve_stats_valid_ = false;
+  std::shared_ptr<CapacityStage> capacity_stage_;
+  bool builds_capacity_stage_ = true;  // false once ShareCapacityStageOf ran
+  CapacityStage* built_stage() const {
+    return builds_capacity_stage_ ? capacity_stage_.get() : nullptr;
+  }
 };
 
 /// \brief Builds fresh, identically-configured policy instances on demand.

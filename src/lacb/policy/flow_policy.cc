@@ -12,35 +12,14 @@ Result<std::unique_ptr<FlowPolicy>> FlowPolicy::Create(
 }
 
 Status FlowPolicy::Initialize(const sim::Platform& platform) {
-  LACB_ASSIGN_OR_RETURN(
-      capacity::PersonalizedCapacityEstimator pool,
-      capacity::PersonalizedCapacityEstimator::Create(config_.estimator,
-                                                      platform.num_brokers()));
-  estimator_ = std::make_unique<capacity::PersonalizedCapacityEstimator>(
-      std::move(pool));
-  return Status::OK();
-}
-
-Status FlowPolicy::BeginDay(const sim::Platform& platform, size_t day) {
-  (void)day;
-  if (estimator_ == nullptr) {
-    return Status::FailedPrecondition("Flow policy was not initialized");
-  }
-  capacity_.resize(platform.num_brokers());
-  for (size_t b = 0; b < platform.num_brokers(); ++b) {
-    LACB_ASSIGN_OR_RETURN(
-        capacity_[b],
-        estimator_->Estimate(b, platform.brokers()[b].ContextVector()));
-  }
-  return Status::OK();
+  return InitializeCapacityStage(config_.estimator, platform.num_brokers());
 }
 
 Result<std::vector<int64_t>> FlowPolicy::AssignBatch(const BatchInput& input) {
   const la::Matrix& u = *input.utility;
   const std::vector<double>& w = *input.workloads;
-  if (capacity_.size() != u.cols()) {
-    return Status::FailedPrecondition("Flow policy day was not begun");
-  }
+  LACB_ASSIGN_OR_RETURN(const std::vector<double>* capacity,
+                        TodaysCapacities(u.cols()));
   matching::SolveStats* stats = StatsSink(input);
   size_t num_requests = u.rows();
   std::vector<int64_t> out(num_requests, -1);
@@ -50,7 +29,7 @@ Result<std::vector<int64_t>> FlowPolicy::AssignBatch(const BatchInput& input) {
   std::vector<size_t> eligible;
   std::vector<int64_t> residual;
   for (size_t c = 0; c < u.cols(); ++c) {
-    int64_t res = static_cast<int64_t>(std::floor(capacity_[c] - w[c]));
+    int64_t res = static_cast<int64_t>(std::floor((*capacity)[c] - w[c]));
     if (res > 0) {
       eligible.push_back(c);
       residual.push_back(res);
@@ -91,18 +70,6 @@ Result<std::vector<int64_t>> FlowPolicy::AssignBatch(const BatchInput& input) {
     }
   }
   return out;
-}
-
-Status FlowPolicy::EndDay(const sim::DayOutcome& outcome) {
-  if (estimator_ == nullptr) {
-    return Status::FailedPrecondition("Flow policy was not initialized");
-  }
-  for (const sim::TrialTriple& t : outcome.trials) {
-    if (t.workload <= 0.0) continue;
-    LACB_RETURN_NOT_OK(
-        estimator_->Update(t.broker, t.context, t.workload, t.signup_rate));
-  }
-  return Status::OK();
 }
 
 }  // namespace lacb::policy

@@ -7,7 +7,7 @@
 // formulation is a transportation problem: each broker is a column with
 // arc capacity equal to its *residual daily capacity*, and the batch is
 // solved as one min-cost max-flow. This policy implements that formulation
-// on top of the same personalized capacity estimator, giving the extension
+// under the same personalized CapacityStage as LACB, giving the extension
 // bench a principled upper-ish baseline for per-batch decisions.
 
 #ifndef LACB_POLICY_FLOW_POLICY_H_
@@ -36,16 +36,12 @@ class FlowPolicy : public AssignmentPolicy {
   std::string name() const override { return "Flow"; }
 
   Status Initialize(const sim::Platform& platform) override;
-  Status BeginDay(const sim::Platform& platform, size_t day) override;
   Result<std::vector<int64_t>> AssignBatch(const BatchInput& input) override;
-  Status EndDay(const sim::DayOutcome& outcome) override;
 
  private:
   explicit FlowPolicy(FlowPolicyConfig config) : config_(std::move(config)) {}
 
   FlowPolicyConfig config_;
-  std::unique_ptr<capacity::PersonalizedCapacityEstimator> estimator_;
-  std::vector<double> capacity_;
 };
 
 }  // namespace lacb::policy

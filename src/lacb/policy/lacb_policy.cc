@@ -7,6 +7,7 @@
 #include "lacb/matching/assignment.h"
 #include "lacb/matching/selection.h"
 #include "lacb/obs/obs.h"
+#include "lacb/policy/capacity_stage.h"
 
 namespace lacb::policy {
 
@@ -25,29 +26,14 @@ Result<std::unique_ptr<LacbPolicy>> LacbPolicy::Create(
 }
 
 Status LacbPolicy::Initialize(const sim::Platform& platform) {
-  LACB_ASSIGN_OR_RETURN(
-      capacity::PersonalizedCapacityEstimator pool,
-      capacity::PersonalizedCapacityEstimator::Create(config_.estimator,
-                                                      platform.num_brokers()));
-  estimator_ = std::make_unique<capacity::PersonalizedCapacityEstimator>(
-      std::move(pool));
-  capacity_hits_.assign(platform.num_brokers(), 0);
-  days_elapsed_ = 0;
-  return Status::OK();
+  return InitializeCapacityStage(config_.estimator, platform.num_brokers());
 }
 
 Status LacbPolicy::BeginDay(const sim::Platform& platform, size_t day) {
-  (void)day;
-  if (estimator_ == nullptr) {
+  if (capacity_stage() == nullptr) {
     return Status::FailedPrecondition("LACB policy was not initialized");
   }
-  LACB_TRACE_SPAN("capacity_estimate");
-  capacity_.resize(platform.num_brokers());
-  for (size_t b = 0; b < platform.num_brokers(); ++b) {
-    LACB_ASSIGN_OR_RETURN(
-        capacity_[b],
-        estimator_->Estimate(b, platform.brokers()[b].ContextVector()));
-  }
+  LACB_RETURN_NOT_OK(AssignmentPolicy::BeginDay(platform, day));
   obs::ActiveRegistry()
       .GetGauge("lacb.value_table_size")
       .Set(static_cast<double>(value_function_.table_size()));
@@ -55,20 +41,22 @@ Status LacbPolicy::BeginDay(const sim::Platform& platform, size_t day) {
 }
 
 double LacbPolicy::CapacityHitFrequency(size_t broker) const {
-  if (days_elapsed_ < std::max<size_t>(1, config_.min_days_for_hit_frequency) ||
-      broker >= capacity_hits_.size()) {
+  const CapacityStage* stage = capacity_stage();
+  if (stage == nullptr || broker >= stage->capacity_hits().size() ||
+      stage->days_elapsed() <
+          std::max<size_t>(1, config_.min_days_for_hit_frequency)) {
     return 0.0;
   }
-  return static_cast<double>(capacity_hits_[broker]) /
-         static_cast<double>(days_elapsed_);
+  return static_cast<double>(stage->capacity_hits()[broker]) /
+         static_cast<double>(stage->days_elapsed());
 }
 
 Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
   const la::Matrix& u = *input.utility;
   const std::vector<double>& w = *input.workloads;
-  if (capacity_.size() != u.cols()) {
-    return Status::FailedPrecondition("LACB policy day was not begun");
-  }
+  LACB_ASSIGN_OR_RETURN(const std::vector<double>* today,
+                        TodaysCapacities(u.cols()));
+  const std::vector<double>& capacity = *today;
   matching::SolveStats* stats = StatsSink(input);
   size_t num_requests = u.rows();
   std::vector<int64_t> out(num_requests, matching::kUnmatched);
@@ -77,7 +65,7 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
   std::vector<size_t>& eligible = scratch_.eligible;
   eligible.clear();
   for (size_t c = 0; c < u.cols(); ++c) {
-    if (w[c] < capacity_[c]) eligible.push_back(c);
+    if (w[c] < capacity[c]) eligible.push_back(c);
   }
   if (eligible.empty() || num_requests == 0) return out;
 
@@ -95,7 +83,7 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
       size_t b = eligible[c];
       if (config_.use_value_function &&
           CapacityHitFrequency(b) > config_.capacity_hit_threshold) {
-        double delta = value_function_.RefinementDelta(capacity_[b] - w[b]);
+        double delta = value_function_.RefinementDelta(capacity[b] - w[b]);
         if (config_.clamp_refinement) delta = std::min(0.0, delta);
         column_delta[c] = delta;
         ++refined_brokers;
@@ -167,7 +155,7 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
     for (size_t r = 0; r < num_requests; ++r) {
       if (out[r] == matching::kUnmatched) continue;
       size_t b = static_cast<size_t>(out[r]);
-      double cr = capacity_[b] - w[b];
+      double cr = capacity[b] - w[b];
       value_function_.Update(cr, cr - 1.0, u(r, b));
     }
   }
@@ -175,49 +163,37 @@ Result<std::vector<int64_t>> LacbPolicy::AssignBatch(const BatchInput& input) {
 }
 
 Status LacbPolicy::EndDay(const sim::DayOutcome& outcome) {
-  if (estimator_ == nullptr) {
+  if (capacity_stage() == nullptr) {
     return Status::FailedPrecondition("LACB policy was not initialized");
   }
-  ++days_elapsed_;
+  LACB_RETURN_NOT_OK(AssignmentPolicy::EndDay(outcome));
+  const std::vector<double>& capacity = capacity_stage()->capacities();
   // Day boundary: each broker-day is an episode of the assignment MDP.
   // Ground the value function at the realized final residuals.
   if (config_.use_value_function) {
     for (size_t b = 0; b < outcome.per_broker_workload.size() &&
-                       b < capacity_.size();
+                       b < capacity.size();
          ++b) {
       double w = outcome.per_broker_workload[b];
       if (w <= 0.0) continue;  // idle brokers saw no episode
-      value_function_.TerminalUpdate(std::max(0.0, capacity_[b] - w));
+      value_function_.TerminalUpdate(std::max(0.0, capacity[b] - w));
     }
-  }
-  size_t hits_today = 0;
-  for (const sim::TrialTriple& t : outcome.trials) {
-    if (t.broker < capacity_.size() && capacity_[t.broker] > 0.0 &&
-        t.workload >= capacity_[t.broker]) {
-      ++capacity_hits_[t.broker];
-      ++hits_today;
-    }
-    if (t.workload <= 0.0) continue;
-    LACB_RETURN_NOT_OK(
-        estimator_->Update(t.broker, t.context, t.workload, t.signup_rate));
   }
 
   // Exploration-health telemetry: how often capacity binds (vs the paper's
   // δ threshold) and how many brokers currently clear it.
   obs::MetricRegistry& registry = obs::ActiveRegistry();
-  if (hits_today > 0) {
-    registry.GetCounter("lacb.capacity_hits").Increment(hits_today);
-  }
+  const size_t num_brokers = capacity.size();
   double freq_sum = 0.0;
   size_t above_threshold = 0;
-  for (size_t b = 0; b < capacity_hits_.size(); ++b) {
+  for (size_t b = 0; b < num_brokers; ++b) {
     double f = CapacityHitFrequency(b);
     freq_sum += f;
     if (f > config_.capacity_hit_threshold) ++above_threshold;
   }
-  if (!capacity_hits_.empty()) {
+  if (num_brokers > 0) {
     registry.GetGauge("lacb.capacity_hit_freq_mean")
-        .Set(freq_sum / static_cast<double>(capacity_hits_.size()));
+        .Set(freq_sum / static_cast<double>(num_brokers));
   }
   registry.GetGauge("lacb.brokers_above_hit_threshold")
       .Set(static_cast<double>(above_threshold));
@@ -225,34 +201,18 @@ Status LacbPolicy::EndDay(const sim::DayOutcome& outcome) {
 }
 
 Status LacbPolicy::SaveState(persist::ByteWriter* w) const {
-  if (estimator_ == nullptr) {
-    return Status::FailedPrecondition("LacbPolicy not initialized");
-  }
-  LACB_RETURN_NOT_OK(estimator_->SaveState(w));
+  LACB_RETURN_NOT_OK(AssignmentPolicy::SaveState(w));
   w->VecF64(value_function_.table());
   w->Str(rng_.SaveState());
-  w->VecF64(capacity_);
-  std::vector<uint64_t> hits(capacity_hits_.begin(), capacity_hits_.end());
-  w->VecU64(hits);
-  w->U64(days_elapsed_);
   return Status::OK();
 }
 
 Status LacbPolicy::LoadState(persist::ByteReader* r) {
-  if (estimator_ == nullptr) {
-    return Status::FailedPrecondition("LacbPolicy not initialized");
-  }
-  LACB_RETURN_NOT_OK(estimator_->LoadState(r));
+  LACB_RETURN_NOT_OK(AssignmentPolicy::LoadState(r));
   LACB_ASSIGN_OR_RETURN(std::vector<double> table, r->VecF64());
   LACB_RETURN_NOT_OK(value_function_.set_table(std::move(table)));
   LACB_ASSIGN_OR_RETURN(std::string rng_state, r->Str());
-  LACB_RETURN_NOT_OK(rng_.LoadState(rng_state));
-  LACB_ASSIGN_OR_RETURN(capacity_, r->VecF64());
-  LACB_ASSIGN_OR_RETURN(std::vector<uint64_t> hits, r->VecU64());
-  capacity_hits_.assign(hits.begin(), hits.end());
-  LACB_ASSIGN_OR_RETURN(uint64_t days, r->U64());
-  days_elapsed_ = static_cast<size_t>(days);
-  return Status::OK();
+  return rng_.LoadState(rng_state);
 }
 
 }  // namespace lacb::policy

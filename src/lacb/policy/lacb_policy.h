@@ -71,27 +71,8 @@ class LacbPolicy : public AssignmentPolicy {
   Result<std::vector<int64_t>> AssignBatch(const BatchInput& input) override;
   Status EndDay(const sim::DayOutcome& outcome) override;
 
-  /// \brief Today's capacity estimate per broker (after BeginDay).
-  const std::vector<double>& capacities() const { return capacity_; }
-
-  /// \brief Replaces today's capacity estimate for one broker (valid
-  /// after BeginDay). The scenario engine uses this to install the
-  /// cold-start prior on a broker's join day; from the next day on the
-  /// bandit estimate takes over again (docs/scenarios.md).
-  Status OverrideCapacity(size_t broker, double capacity) {
-    if (broker >= capacity_.size()) {
-      return Status::OutOfRange("capacity override: unknown broker");
-    }
-    capacity_[broker] = capacity;
-    return Status::OK();
-  }
-
   /// \brief Fraction of past days broker b exhausted its capacity (f_b).
   double CapacityHitFrequency(size_t broker) const;
-
-  const capacity::PersonalizedCapacityEstimator& estimator() const {
-    return *estimator_;
-  }
 
   Status SaveState(persist::ByteWriter* w) const override;
   Status LoadState(persist::ByteReader* r) override;
@@ -103,13 +84,8 @@ class LacbPolicy : public AssignmentPolicy {
         rng_(config_.seed) {}
 
   LacbPolicyConfig config_;
-  std::unique_ptr<capacity::PersonalizedCapacityEstimator> estimator_;
   CapacityValueFunction value_function_;
   Rng rng_;
-
-  std::vector<double> capacity_;       // today's estimates
-  std::vector<size_t> capacity_hits_;  // days the broker hit capacity
-  size_t days_elapsed_ = 0;
 
   // AssignBatch's buffers, kept so a served replica (one per worker)
   // allocates none of them per batch once it has seen its widest batch.

@@ -6,7 +6,7 @@
 #include "lacb/common/stopwatch.h"
 #include "lacb/matching/assignment.h"
 #include "lacb/matching/two_sided.h"
-#include "lacb/policy/lacb_policy.h"
+#include "lacb/policy/capacity_stage.h"
 
 namespace lacb::scenario {
 namespace {
@@ -22,10 +22,10 @@ Result<bool> ApplyEvent(const CompiledScenario& scenario, const ChurnEvent& ev,
       // Cold-start prior: a capacity-estimating policy starts the joiner
       // at the scenario's prior instead of an estimate trained on zero
       // observations. From tomorrow's BeginDay the bandit re-estimates.
-      if (auto* lacb = dynamic_cast<policy::LacbPolicy*>(policy);
-          lacb != nullptr && !lacb->capacities().empty()) {
+      if (policy::CapacityStage* stage = policy->capacity_stage();
+          stage != nullptr && !stage->capacities().empty()) {
         LACB_RETURN_NOT_OK(
-            lacb->OverrideCapacity(ev.broker, scenario.ColdCapacity(ev)));
+            stage->OverrideCapacity(ev.broker, scenario.ColdCapacity(ev)));
       }
       return true;
     }

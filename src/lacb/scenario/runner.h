@@ -8,7 +8,7 @@
 //
 //   * churn — the compiled timeline is applied at batch boundaries:
 //     joins activate dormant roster slots (cold capacity prior installed
-//     into LacbPolicy when present), leaves deactivate, fails also void
+//     into the policy's CapacityStage), leaves deactivate, fails also void
 //     the broker's in-flight day. Inactive brokers are steered away from
 //     (workload pinned huge in the policy's view) and sanitized out of
 //     returned assignments (counted as churn_rejected, terminally

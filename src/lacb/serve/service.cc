@@ -12,7 +12,7 @@
 #include "lacb/matching/assignment.h"
 #include "lacb/obs/context.h"
 #include "lacb/persist/serializers.h"
-#include "lacb/policy/lacb_policy.h"
+#include "lacb/policy/capacity_stage.h"
 
 namespace lacb::serve {
 
@@ -153,6 +153,9 @@ Result<std::unique_ptr<AssignmentService>> AssignmentService::Create(
     if (replica == nullptr) {
       return Status::InvalidArgument("policy factory returned null");
     }
+    // Capacity estimation runs once per service: every later replica
+    // assigns under the lead replica's stage instead of training its own.
+    if (!replicas.empty()) replica->ShareCapacityStageOf(*replicas.front());
     LACB_RETURN_NOT_OK(replica->Initialize(platform));
     replicas.push_back(std::move(replica));
   }
@@ -406,21 +409,30 @@ Status AssignmentService::DoOpenDay(size_t day, bool log_wal) {
   }
   store_.ResetDay();
   day_boundary_seconds_ = 0.0;
-  LACB_RETURN_NOT_OK(ForEachReplica([&](policy::AssignmentPolicy& replica) {
-    return replica.BeginDay(*platform_, day);
-  }));
-  // Publish the lead replica's capacity estimates so the store's residual
-  // view is live for capacity-aware consumers.
-  if (auto* lacb = dynamic_cast<policy::LacbPolicy*>(replicas_.front().get());
-      lacb != nullptr && !lacb->capacities().empty()) {
-    store_.SetCapacities(lacb->capacities());
+  // The lead replica estimates today's capacities; the others only read
+  // them, so their steps cost next to nothing.
+  Stopwatch boundary;
+  for (auto& replica : replicas_) {
+    LACB_RETURN_NOT_OK(replica->BeginDay(*platform_, day));
+  }
+  day_boundary_seconds_ += boundary.ElapsedSeconds();
+  // Publish the capacity estimates so the store's residual view is live
+  // for capacity-aware consumers.
+  if (const policy::CapacityStage* stage = replicas_.front()->capacity_stage();
+      stage != nullptr && !stage->capacities().empty()) {
+    store_.SetCapacities(stage->capacities());
+    registry_
+        ->GetGauge("serve.capacity_mae",
+                   "Mean |capacity estimate - latent true capacity| over "
+                   "the roster, set at each day open.")
+        .Set(stage->MeanAbsoluteError(*platform_));
   }
   if (options_.scenario != nullptr && options_.scenario->HasChurn()) {
     std::lock_guard<std::mutex> lock(env_mu_);
     // Day-open events (batch_offset 0) land before the first batch.
     LACB_RETURN_NOT_OK(AdvanceChurnLocked(day, 0));
-    // Sync the store to the platform's mask: the lead replica published
-    // capacity estimates for the whole roster above, including brokers
+    // Sync the store to the platform's mask: the capacity stage published
+    // estimates for the whole roster above, including brokers
     // that are currently churned away (initial mask or restored state).
     if (platform_->AnyBrokerInactive()) {
       for (size_t b = 0; b < platform_->num_brokers(); ++b) {
@@ -534,32 +546,14 @@ Result<sim::DayOutcome> AssignmentService::DoCloseDay(bool log_wal) {
     LACB_ASSIGN_OR_RETURN(outcome, platform_->EndDay());
   }
   store_.ApplyDayFeedback(outcome);
-  LACB_RETURN_NOT_OK(ForEachReplica([&](policy::AssignmentPolicy& replica) {
-    return replica.EndDay(outcome);
-  }));
+  // The lead replica trains the capacity stage before the others read it.
+  Stopwatch boundary;
+  for (auto& replica : replicas_) {
+    LACB_RETURN_NOT_OK(replica->EndDay(outcome));
+  }
+  day_boundary_seconds_ += boundary.ElapsedSeconds();
   day_open_.store(false, std::memory_order_release);
   return outcome;
-}
-
-Status AssignmentService::ForEachReplica(
-    const std::function<Status(policy::AssignmentPolicy&)>& step) {
-  // Replicas share no state, and at a day boundary no batch is in flight,
-  // so their identical retraining runs side by side.
-  std::vector<Status> status(replicas_.size());
-  std::vector<std::thread> threads;
-  threads.reserve(replicas_.size() - 1);
-  for (size_t i = 1; i < replicas_.size(); ++i) {
-    threads.emplace_back([this, &step, &status, i] {
-      obs::ScopedContextAdoption adopt(registry_, tracer_, recorder_);
-      status[i] = step(*replicas_[i]);
-    });
-  }
-  Stopwatch sw;
-  status[0] = step(*replicas_[0]);
-  day_boundary_seconds_ += sw.ElapsedSeconds();
-  for (std::thread& t : threads) t.join();
-  for (const Status& s : status) LACB_RETURN_NOT_OK(s);
-  return Status::OK();
 }
 
 Status AssignmentService::ApplyChurn(const scenario::ChurnEvent& event) {

@@ -20,9 +20,10 @@
 // and RNG streams are identical. Policy *compute* (AssignBatch, which
 // carries the cubic KM cost) runs concurrently across workers; only the
 // O(batch) truth commit serializes on the environment mutex. Each worker
-// owns a policy replica built by the same factory; replicas share learning
-// through the broadcast day-close feedback but keep independent
-// exploration streams.
+// owns a policy replica built by the same factory. The replicas share one
+// capacity stage (Sec. V), built and trained by replica 0 at the day
+// boundaries, and keep their own per-batch state (value function, CBS
+// stream, solver buffers).
 //
 // Day protocol: OpenDay → Submit/Flush (any threads) → CloseDay (drains
 // in-flight work, closes the platform day, broadcasts feedback). With one
@@ -330,8 +331,8 @@ class AssignmentService {
 
   /// \brief Installs per-broker capacities into the broker store (the
   /// residual view the greedy degradation fallback consumes). Capacities
-  /// persist across ResetDay; OpenDay overwrites them only when the lead
-  /// replica is a LacbPolicy with its own estimates.
+  /// persist across ResetDay; OpenDay overwrites them only when the served
+  /// policy estimates capacity (it has a capacity stage).
   void SetStoreCapacities(const std::vector<double>& capacities);
 
   /// \brief Cuts a checkpoint now if persistence is enabled and at least
@@ -381,8 +382,13 @@ class AssignmentService {
   const ShardedBrokerStore& store() const { return store_; }
   /// \brief Name of the served policy (replica 0).
   const std::string& policy_name() const { return policy_name_; }
+  /// \brief Policy replica `index` (read-only; null when out of range).
+  /// Replicas past the first share the first's capacity stage.
+  const policy::AssignmentPolicy* replica(size_t index) const {
+    return index < replicas_.size() ? replicas_[index].get() : nullptr;
+  }
   /// \brief Day-boundary (BeginDay/EndDay) policy compute of the last
-  /// open/close cycle, seconds (replica 0's share).
+  /// open/close cycle over every replica, seconds.
   double day_boundary_seconds() const { return day_boundary_seconds_; }
 
   /// \brief Bound port of the exposition listener, or -1 when disabled
@@ -469,12 +475,6 @@ class AssignmentService {
   /// replay re-applies the same transition without re-logging it.
   Status DoOpenDay(size_t day, bool log_wal);
   Result<sim::DayOutcome> DoCloseDay(bool log_wal);
-  /// Runs one day-boundary step on every replica at once: replica 0 on the
-  /// calling thread (its time is added to day_boundary_seconds_), each
-  /// other replica on its own thread in the service's telemetry context.
-  /// Returns the lowest-index replica's error.
-  Status ForEachReplica(
-      const std::function<Status(policy::AssignmentPolicy&)>& step);
 
   /// Start()-time warm restart: loads the newest valid checkpoint from
   /// checkpoint_dir (skipping corrupt ones), replays the WAL tail through

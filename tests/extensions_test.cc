@@ -1,6 +1,8 @@
 // Tests for the extension modules: Thompson sampling, Pearson/Spearman
 // correlation, trace I/O, and the Greedy / Flow policies.
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +13,8 @@
 #include "lacb/bandit/thompson.h"
 #include "lacb/core/engine.h"
 #include "lacb/core/policy_suite.h"
+#include "lacb/persist/bytes.h"
+#include "lacb/policy/capacity_stage.h"
 #include "lacb/policy/flow_policy.h"
 #include "lacb/policy/greedy_policy.h"
 #include "lacb/sim/trace_io.h"
@@ -345,6 +349,45 @@ TEST(FlowPolicyTest, LifecycleAndCapacityRespect) {
   for (double peak : run->broker_peak_workload) {
     EXPECT_LE(peak, max_arm + 1e-9);
   }
+}
+
+TEST(FlowPolicyTest, SaveLoadResumesTheTrainedEstimator) {
+  // After two days, a fresh Flow policy restored from the trained one's
+  // state estimates the next day's capacities bit for bit.
+  policy::FlowPolicyConfig cfg;
+  cfg.estimator.bandit = core::DefaultBanditConfig(TinyConfig(), 13);
+  auto trained = policy::FlowPolicy::Create(cfg);
+  ASSERT_TRUE(trained.ok());
+  ASSERT_TRUE(core::RunPolicy(TinyConfig(), trained->get()).ok());
+  persist::ByteWriter w;
+  ASSERT_TRUE((*trained)->SaveState(&w).ok());
+
+  auto platform = sim::Platform::Create(TinyConfig());
+  ASSERT_TRUE(platform.ok());
+  auto restored = policy::FlowPolicy::Create(cfg);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE((*restored)->Initialize(*platform).ok());
+  persist::ByteReader r(w.bytes());
+  ASSERT_TRUE((*restored)->LoadState(&r).ok());
+  EXPECT_EQ(r.remaining(), 0u);
+
+  ASSERT_TRUE((*trained)->BeginDay(*platform, 2).ok());
+  ASSERT_TRUE((*restored)->BeginDay(*platform, 2).ok());
+  const std::vector<double>& want =
+      (*trained)->capacity_stage()->capacities();
+  const std::vector<double>& got =
+      (*restored)->capacity_stage()->capacities();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t b = 0; b < want.size(); ++b) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[b]), std::bit_cast<uint64_t>(want[b]))
+        << "broker " << b;
+  }
+  // The untrained estimator does not give the same answer.
+  auto fresh = policy::FlowPolicy::Create(cfg);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE((*fresh)->Initialize(*platform).ok());
+  ASSERT_TRUE((*fresh)->BeginDay(*platform, 2).ok());
+  EXPECT_NE((*fresh)->capacity_stage()->capacities(), want);
 }
 
 TEST(FlowPolicyTest, AllowsMultipleRequestsPerBrokerPerBatch) {

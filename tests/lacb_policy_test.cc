@@ -9,6 +9,7 @@
 #include "lacb/core/engine.h"
 #include "lacb/core/policy_suite.h"
 #include "lacb/matching/assignment.h"
+#include "lacb/policy/capacity_stage.h"
 #include "lacb/policy/lacb_policy.h"
 #include "lacb/policy/value_function.h"
 
@@ -104,8 +105,10 @@ TEST(LacbPolicyTest, LifecycleEnforcement) {
   EXPECT_FALSE((*policy)->BeginDay(*platform, 0).ok());
   ASSERT_TRUE((*policy)->Initialize(*platform).ok());
   ASSERT_TRUE((*policy)->BeginDay(*platform, 0).ok());
-  EXPECT_EQ((*policy)->capacities().size(), platform->num_brokers());
-  for (double c : (*policy)->capacities()) {
+  const std::vector<double>& capacities =
+      (*policy)->capacity_stage()->capacities();
+  EXPECT_EQ(capacities.size(), platform->num_brokers());
+  for (double c : capacities) {
     EXPECT_TRUE(c == 5.0 || c == 10.0 || c == 20.0 || c == 30.0);
   }
 }
@@ -171,7 +174,7 @@ TEST(LacbPolicyTest, CapacityHitFrequencyTracksSaturatedBrokers) {
   sim::TrialTriple t;
   t.broker = 0;
   t.context = platform->brokers()[0].ContextVector();
-  t.workload = (*policy)->capacities()[0];
+  t.workload = (*policy)->capacity_stage()->capacities()[0];
   t.signup_rate = 0.1;
   outcome.trials.push_back(t);
   ASSERT_TRUE((*policy)->EndDay(outcome).ok());

@@ -353,6 +353,24 @@ TEST(CheckpointTest, CorruptPayloadFailsWholeFile) {
   EXPECT_FALSE(persist::DecodeCheckpoint("short").ok());
 }
 
+TEST(CheckpointTest, PreviousVersionIsRefused) {
+  // Version 1 saved a full capacity estimator in every replica.<i>
+  // section; version 2 saves it once, in replica.0. An old file would
+  // misread, so the header refuses it before any section is decoded.
+  persist::Checkpoint ckpt;
+  ckpt.seq = 3;
+  ckpt.sections.push_back({"meta", "payload"});
+  std::string encoded = persist::EncodeCheckpoint(ckpt);
+  const uint32_t old_version = persist::kCheckpointVersion - 1;
+  std::memcpy(encoded.data() + sizeof(persist::kCheckpointMagic),
+              &old_version, sizeof(old_version));
+  auto old = persist::DecodeCheckpoint(encoded);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(old.status().ToString().find("version 1"), std::string::npos)
+      << old.status().ToString();
+}
+
 persist::Checkpoint TinyCheckpoint(uint64_t seq) {
   persist::Checkpoint ckpt;
   ckpt.seq = seq;
@@ -837,6 +855,78 @@ TEST(GoldenFixtureTest, BumpedVersionsAreRefused) {
   EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(wal.status().ToString().find("version"), std::string::npos)
       << wal.status().ToString();
+}
+
+TEST(CrashRecoveryTest, MultiWorkerCheckpointRestoresEveryReplica) {
+  // Three workers checkpoint mid-day and restore from the checkpoint and
+  // its WAL tail: the platform and every replica come back byte for byte. Only replica 0 saves the shared
+  // capacity stage; the other sections hold per-replica state alone.
+  sim::DatasetConfig cfg = RecoveryConfig();
+  std::string dir = TempDirFor("multi_worker");
+  serve::ServeOptions opts = RecoveryServeOptions(dir, 0);
+  opts.num_workers = 3;
+  std::string platform_state;
+  std::vector<std::string> replica_state;
+  {
+    obs::ScopedTelemetry telemetry;
+    auto service =
+        serve::AssignmentService::Create(cfg, RecoveryFactory(cfg), opts);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE((*service)->Start().ok());
+    const auto& schedule = (*service)->platform().all_requests();
+    for (size_t day = 0; day < 2; ++day) {
+      ASSERT_TRUE((*service)->OpenDay(day).ok());
+      // Day 0 runs whole; day 1 stops halfway with the day still open.
+      size_t batches = day == 0 ? schedule[day].size()
+                                : schedule[day].size() / 2;
+      for (size_t j = 0; j < batches; ++j) {
+        for (const sim::Request& r : schedule[day][j]) {
+          ASSERT_TRUE((*service)->Submit(r));
+        }
+        (*service)->Flush();
+        ASSERT_TRUE((*service)->WaitIdle().ok());
+      }
+      if (day == 0) {
+        ASSERT_TRUE((*service)->CloseDay().ok());
+      }
+    }
+    ASSERT_TRUE((*service)->Checkpoint().ok());
+    // Shutdown flushes the day's carried-over appeals as one more batch,
+    // which the WAL journals after the checkpoint: snapshot after it.
+    (*service)->Shutdown();
+    auto platform = (*service)->SerializePlatformState();
+    ASSERT_TRUE(platform.ok());
+    platform_state = *platform;
+    for (size_t i = 0; i < opts.num_workers; ++i) {
+      auto state = (*service)->SerializeReplicaState(i);
+      ASSERT_TRUE(state.ok());
+      replica_state.push_back(*state);
+    }
+  }
+  for (size_t i = 1; i < replica_state.size(); ++i) {
+    EXPECT_LT(replica_state[i].size(), replica_state[0].size() / 4)
+        << "replica " << i << " saved a capacity stage of its own";
+  }
+
+  obs::ScopedTelemetry telemetry;
+  auto service =
+      serve::AssignmentService::Create(cfg, RecoveryFactory(cfg), opts);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->Start().ok());
+  ASSERT_TRUE((*service)->restore_info().restored);
+  EXPECT_EQ((*service)->restore_info().day, 1u);
+  EXPECT_TRUE((*service)->restore_info().day_open);
+  auto platform = (*service)->SerializePlatformState();
+  ASSERT_TRUE(platform.ok());
+  EXPECT_EQ(*platform, platform_state);
+  for (size_t i = 0; i < opts.num_workers; ++i) {
+    auto state = (*service)->SerializeReplicaState(i);
+    ASSERT_TRUE(state.ok());
+    EXPECT_EQ(*state, replica_state[i]) << "replica " << i;
+  }
+  // The restored day finishes on the restored state.
+  EXPECT_TRUE((*service)->CloseDay().ok());
+  (*service)->Shutdown();
 }
 
 TEST(CrashRecoveryTest, CorruptCheckpointAndTornWalStillRecover) {

@@ -20,6 +20,7 @@
 #include "lacb/matching/two_sided.h"
 #include "lacb/obs/obs.h"
 #include "lacb/persist/bytes.h"
+#include "lacb/policy/capacity_stage.h"
 #include "lacb/policy/lacb_policy.h"
 #include "lacb/scenario/engine.h"
 #include "lacb/scenario/runner.h"
@@ -433,8 +434,10 @@ TEST(ScenarioChurnTest, ColdJoinerTakesWorkAndReEstimatesCapacity) {
   // Convergence: by the final BeginDay the bandit has replaced the cold
   // prior with its own estimate, which moved up toward the broker's true
   // capacity (the prior was far below any real knee).
-  ASSERT_EQ(lacb->capacities().size(), cfg.num_brokers);
-  EXPECT_GT(lacb->capacities()[joiner], kTinyPrior);
+  const std::vector<double>& capacities =
+      lacb->capacity_stage()->capacities();
+  ASSERT_EQ(capacities.size(), cfg.num_brokers);
+  EXPECT_GT(capacities[joiner], kTinyPrior);
 }
 
 TEST(ScenarioPlatformTest, ActivityMaskSurvivesSaveLoad) {

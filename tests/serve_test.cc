@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <limits>
 #include <thread>
@@ -17,7 +16,7 @@
 #include "lacb/core/policy_suite.h"
 #include "lacb/obs/obs.h"
 #include "lacb/persist/bytes.h"
-#include "lacb/policy/lacb_policy.h"
+#include "lacb/policy/capacity_stage.h"
 #include "lacb/serve/serve.h"
 
 namespace lacb {
@@ -430,32 +429,10 @@ TEST(ServiceTest, ConcurrentWorkersCompleteFreeRunDay) {
   EXPECT_GT(total_served, 0.0);
 }
 
-// Today's capacity estimates of one replica, decoded from its state.
-std::vector<uint64_t> ReplicaCapacityBits(serve::AssignmentService* service,
-                                          const sim::DatasetConfig& cfg,
-                                          const core::PolicySuiteConfig& suite,
-                                          size_t index, size_t replica) {
-  auto state = service->SerializeReplicaState(replica);
-  EXPECT_TRUE(state.ok()) << state.status().ToString();
-  auto decoded = core::MakeSuitePolicy(cfg, suite, index);
-  EXPECT_TRUE(decoded.ok());
-  EXPECT_TRUE((*decoded)->Initialize(service->platform()).ok());
-  persist::ByteReader reader(*state);
-  EXPECT_TRUE((*decoded)->LoadState(&reader).ok());
-  auto* lacb = dynamic_cast<policy::LacbPolicy*>(decoded->get());
-  EXPECT_NE(lacb, nullptr);
-  std::vector<uint64_t> bits;
-  if (lacb == nullptr) return bits;
-  for (double c : lacb->capacities()) {
-    bits.push_back(std::bit_cast<uint64_t>(c));
-  }
-  return bits;
-}
-
-TEST(ServiceTest, ParallelDayBoundariesKeepReplicasIdentical) {
-  // Day boundaries run every replica's BeginDay/EndDay on its own thread.
-  // Each replica sees the same outcomes, so the learned capacities must
-  // agree to the bit across replicas whatever batches each one solved.
+TEST(ServiceTest, ReplicasShareOneCapacityStage) {
+  // Capacity estimation (Sec. V) runs once per service: every replica
+  // assigns under the lead replica's stage, which alone is trained at the
+  // day boundaries, so day-boundary telemetry is counted once.
   obs::ScopedTelemetry telemetry;
   sim::DatasetConfig cfg = TinyConfig();
   core::PolicySuiteConfig suite;
@@ -471,28 +448,41 @@ TEST(ServiceTest, ParallelDayBoundariesKeepReplicasIdentical) {
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_TRUE((*service)->Start().ok());
 
-  std::vector<uint64_t> first_day;
+  const policy::CapacityStage* stage =
+      (*service)->replica(0)->capacity_stage();
+  ASSERT_NE(stage, nullptr);
+  for (size_t replica = 1; replica < opts.num_workers; ++replica) {
+    EXPECT_EQ((*service)->replica(replica)->capacity_stage(), stage)
+        << "replica " << replica;
+  }
+  EXPECT_EQ((*service)->replica(opts.num_workers), nullptr);
+
+  std::vector<double> first_day;
+  uint64_t expected_hits = 0;
   for (size_t day = 0; day < cfg.num_days; ++day) {
     ASSERT_TRUE((*service)->OpenDay(day).ok());
-    std::vector<uint64_t> lead =
-        ReplicaCapacityBits(service->get(), cfg, suite, index, 0);
-    ASSERT_EQ(lead.size(), cfg.num_brokers);
-    for (size_t replica = 1; replica < opts.num_workers; ++replica) {
-      EXPECT_EQ(ReplicaCapacityBits(service->get(), cfg, suite, index,
-                                    replica),
-                lead)
-          << "day " << day << " replica " << replica;
-    }
-    if (day == 0) first_day = lead;
+    const std::vector<double> today = stage->capacities();
+    ASSERT_EQ(today.size(), cfg.num_brokers);
+    if (day == 0) first_day = today;
     if (day + 1 == cfg.num_days) {
-      EXPECT_NE(lead, first_day) << "capacities never retrained";
+      EXPECT_NE(today, first_day) << "capacities never retrained";
     }
     for (const auto& batch : (*service)->platform().all_requests()[day]) {
       for (const sim::Request& r : batch) ASSERT_TRUE((*service)->Submit(r));
     }
     auto outcome = (*service)->CloseDay();
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_GT((*service)->day_boundary_seconds(), 0.0);
+    for (const sim::TrialTriple& t : outcome->trials) {
+      if (today[t.broker] > 0.0 && t.workload >= today[t.broker]) {
+        ++expected_hits;
+      }
+    }
   }
+  EXPECT_EQ(stage->days_elapsed(), cfg.num_days);
+  EXPECT_GT(expected_hits, 0u);
+  EXPECT_EQ(telemetry.registry().GetCounter("lacb.capacity_hits").value(),
+            expected_hits);
   EXPECT_GT((*service)->Stats().batches, 3 * cfg.num_days);
   (*service)->Shutdown();
 }
