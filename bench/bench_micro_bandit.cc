@@ -54,9 +54,13 @@ void BM_MlpParamGradient(benchmark::State& state) {
   cfg.layer_sizes = {25, static_cast<size_t>(state.range(0)),
                      static_cast<size_t>(state.range(0)) / 2};
   auto net = nn::Mlp::Create(cfg, &rng).value();
-  la::Vector x(25, 0.3);
+  std::vector<la::Vector> inputs = {la::Vector(25, 0.3)};
+  la::Vector outputs;
+  std::vector<la::Vector> grads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.ParamGradient(x).value());
+    benchmark::DoNotOptimize(net.OutputGradients(inputs, &outputs, &grads));
+    benchmark::DoNotOptimize(grads[0].data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MlpParamGradient)->Arg(16)->Arg(32)->Arg(64)->Arg(128);

@@ -98,9 +98,7 @@ class NeuralUcb : public ContextualBandit {
   /// accumulated confidence instead of re-exploring from scratch.
   Status CopyCovariance(const NeuralUcb& other);
 
-  /// \brief Access to the reward network (e.g. to freeze layers or read
-  /// parameters for layer transfer).
-  nn::Mlp* mutable_network() { return &net_; }
+  /// \brief The reward network (read for layer transfer).
   const nn::Mlp& network() const { return net_; }
 
   size_t buffered_observations() const { return buffer_.size(); }

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "lacb/obs/obs.h"
-#include "lacb/stats/descriptive.h"
 
 namespace lacb::capacity {
 
@@ -168,43 +167,6 @@ Status PersonalizedCapacityEstimator::LoadState(persist::ByteReader* r) {
     ++personalized_count_;
   }
   return Status::OK();
-}
-
-Result<double> EstimateEmpiricalCapacity(
-    const std::vector<double>& workloads,
-    const std::vector<double>& signup_rates, double drop_fraction,
-    size_t num_bins) {
-  if (workloads.size() != signup_rates.size() || workloads.size() < 4) {
-    return Status::InvalidArgument(
-        "empirical capacity needs >= 4 paired observations");
-  }
-  if (drop_fraction <= 0.0 || drop_fraction >= 1.0) {
-    return Status::InvalidArgument("drop_fraction must be in (0,1)");
-  }
-  double max_w = *std::max_element(workloads.begin(), workloads.end());
-  if (max_w <= 0.0) {
-    return Status::InvalidArgument("all workloads are zero");
-  }
-  LACB_ASSIGN_OR_RETURN(
-      stats::BinnedSeries series,
-      stats::BinMeans(workloads, signup_rates, 0.0, max_w + 1e-9, num_bins));
-  // Running below-knee mean; the knee is the first bin whose mean drops
-  // below drop_fraction of it.
-  double running_sum = 0.0;
-  size_t running_count = 0;
-  for (size_t b = 0; b < series.means.size(); ++b) {
-    if (series.counts[b] == 0) continue;
-    if (running_count > 0) {
-      double below_mean = running_sum / static_cast<double>(running_count);
-      if (series.means[b] < drop_fraction * below_mean) {
-        return series.bin_centers[b];
-      }
-    }
-    running_sum += series.means[b];
-    ++running_count;
-  }
-  // No knee visible: the population never saturated; report the max.
-  return max_w;
 }
 
 }  // namespace lacb::capacity

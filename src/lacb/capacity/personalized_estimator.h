@@ -66,8 +66,6 @@ class PersonalizedCapacityEstimator {
     return broker < personal_.size() && personal_[broker] != nullptr;
   }
 
-  const bandit::NeuralUcb& base() const { return *base_; }
-
   /// \brief Serializes the full pool: base bandit, per-broker observation
   /// counts + history, and every personal bandit. LoadState rebuilds each
   /// personal bandit with the live transfer recipe (TransferBase) before
@@ -99,15 +97,6 @@ class PersonalizedCapacityEstimator {
   std::vector<std::vector<HistoryEntry>> history_;
   size_t personalized_count_ = 0;
 };
-
-/// \brief City-level empirical capacity from pooled (workload, sign-up)
-/// scatter: the smallest workload bin whose mean sign-up rate falls below
-/// `drop_fraction` of the below-knee running mean. This is how the CTop-K
-/// baseline chooses its single city-wide capacity (paper Sec. VII-A).
-Result<double> EstimateEmpiricalCapacity(const std::vector<double>& workloads,
-                                         const std::vector<double>& signup_rates,
-                                         double drop_fraction = 0.8,
-                                         size_t num_bins = 16);
 
 }  // namespace lacb::capacity
 

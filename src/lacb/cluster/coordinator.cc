@@ -971,13 +971,6 @@ FleetStats Coordinator::Stats() const {
   return out;
 }
 
-Result<uint64_t> Coordinator::RangeOwner(uint64_t range) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = ranges_.find(range);
-  if (it == ranges_.end()) return Status::NotFound("no such range");
-  return it->second.owner;
-}
-
 double Coordinator::last_failover_unix_seconds() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_failover_unix_;

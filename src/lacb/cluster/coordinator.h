@@ -180,8 +180,6 @@ class Coordinator {
   /// gate diffs these against a single-process run). Call while idle.
   Result<StateDump> FetchState(uint64_t range);
 
-  /// \brief Owner shard of `range` right now.
-  Result<uint64_t> RangeOwner(uint64_t range) const;
   const HashRing& ring() const { return ring_; }
   int exposition_port() const {
     return exposition_ != nullptr ? exposition_->port() : -1;

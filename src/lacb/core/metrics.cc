@@ -76,23 +76,4 @@ double GiniCoefficient(const std::vector<double>& values) {
   return 2.0 * weighted / (n * total) - (n + 1.0) / n;
 }
 
-std::vector<double> LorenzCurve(const std::vector<double>& values,
-                                size_t points) {
-  std::vector<double> curve;
-  if (values.empty() || points == 0) return curve;
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  for (double v : sorted) total += v;
-  curve.reserve(points);
-  double acc = 0.0;
-  size_t idx = 0;
-  for (size_t p = 1; p <= points; ++p) {
-    size_t upto = sorted.size() * p / points;
-    for (; idx < upto; ++idx) acc += sorted[idx];
-    curve.push_back(total > 0.0 ? acc / total : 0.0);
-  }
-  return curve;
-}
-
 }  // namespace lacb::core

@@ -42,12 +42,6 @@ std::vector<double> CumulativeSeries(const std::vector<double>& daily);
 /// Returns 0 for empty or all-zero input.
 double GiniCoefficient(const std::vector<double>& values);
 
-/// \brief Lorenz curve sampled at `points` evenly spaced population
-/// fractions: entry i is the share of the total held by the bottom
-/// (i+1)/points of the population. Empty input yields an empty curve.
-std::vector<double> LorenzCurve(const std::vector<double>& values,
-                                size_t points);
-
 }  // namespace lacb::core
 
 #endif  // LACB_CORE_METRICS_H_

@@ -87,14 +87,6 @@ void Matrix::Scale(double s) {
   for (double& v : data_) v *= s;
 }
 
-Status Matrix::AddInPlace(const Matrix& other, double scale) {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    return Status::InvalidArgument("AddInPlace shape mismatch");
-  }
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += scale * other.data_[i];
-  return Status::OK();
-}
-
 double Matrix::FrobeniusNorm() const {
   double acc = 0.0;
   for (double v : data_) acc += v * v;

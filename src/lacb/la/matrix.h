@@ -84,9 +84,6 @@ class Matrix {
   /// \brief Element-wise in-place scaling.
   void Scale(double s);
 
-  /// \brief Element-wise in-place addition; shapes must match.
-  Status AddInPlace(const Matrix& other, double scale = 1.0);
-
   /// \brief Frobenius norm.
   double FrobeniusNorm() const;
 

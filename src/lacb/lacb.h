@@ -19,7 +19,6 @@
 #include "lacb/bandit/eps_greedy.h"
 #include "lacb/bandit/lin_ucb.h"
 #include "lacb/bandit/neural_ucb.h"
-#include "lacb/bandit/thompson.h"
 #include "lacb/capacity/personalized_estimator.h"
 #include "lacb/common/discrete_sampler.h"
 #include "lacb/common/logging.h"
@@ -29,8 +28,6 @@
 #include "lacb/common/stopwatch.h"
 #include "lacb/common/table_printer.h"
 #include "lacb/core/engine.h"
-#include "lacb/gbdt/booster.h"
-#include "lacb/gbdt/tree.h"
 #include "lacb/core/metrics.h"
 #include "lacb/core/policy_suite.h"
 #include "lacb/la/linalg.h"
@@ -58,13 +55,11 @@
 #include "lacb/sim/broker.h"
 #include "lacb/sim/dataset.h"
 #include "lacb/sim/platform.h"
-#include "lacb/sim/learned_utility.h"
 #include "lacb/sim/request.h"
 #include "lacb/sim/signup_model.h"
 #include "lacb/sim/trace_io.h"
 #include "lacb/sim/utility_model.h"
 #include "lacb/stats/descriptive.h"
-#include "lacb/stats/correlation.h"
 #include "lacb/stats/hypothesis.h"
 #include "lacb/stats/kde.h"
 

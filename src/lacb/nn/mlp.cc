@@ -495,13 +495,6 @@ Result<double> Mlp::Forward(const Vector& x) const {
   return ChunkOutput(ws, 0);
 }
 
-Result<Vector> Mlp::ParamGradient(const Vector& x) const {
-  Vector outputs;
-  std::vector<Vector> grads;
-  LACB_RETURN_NOT_OK(OutputGradients({x}, &outputs, &grads));
-  return std::move(grads[0]);
-}
-
 Status Mlp::OutputGradients(const std::vector<Vector>& inputs,
                             Vector* outputs,
                             std::vector<Vector>* grads) const {

@@ -84,14 +84,11 @@ class Mlp {
   /// \brief Forward pass; x must have input_dim() entries.
   Result<double> Forward(const Vector& x) const;
 
-  /// \brief Gradient of the scalar output w.r.t. all parameters, flattened
-  /// in the same layout as params().
-  Result<Vector> ParamGradient(const Vector& x) const;
-
   /// \brief Forward and parameter gradient of several inputs in one batched
   /// pass: (*outputs)[k] = S(inputs[k]) and (*grads)[k] = ∇_θ S(inputs[k]),
-  /// bit-identical to Forward and ParamGradient one input at a time. The
-  /// caller's buffers are reused (no allocation once they are sized).
+  /// flattened in the same layout as params(). Each input's results are
+  /// bit-identical to Forward and to a one-input batch. The caller's
+  /// buffers are reused (no allocation once they are sized).
   Status OutputGradients(const std::vector<Vector>& inputs, Vector* outputs,
                          std::vector<Vector>* grads) const;
 

@@ -265,12 +265,6 @@ Histogram& MetricRegistry::GetHistogram(const std::string& name,
   return h;
 }
 
-void MetricRegistry::SetHelp(const std::string& name,
-                             const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SetHelpLocked(name, help);
-}
-
 MetricsSnapshot MetricRegistry::Snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);

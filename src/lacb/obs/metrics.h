@@ -170,10 +170,6 @@ class MetricRegistry {
   Histogram& GetHistogram(const std::string& name, std::vector<double> bounds,
                           const std::string& help);
 
-  /// \brief Attaches a description to an instrument name (first non-empty
-  /// description wins). Usable independently of the Get* overloads.
-  void SetHelp(const std::string& name, const std::string& help);
-
   MetricsSnapshot Snapshot() const;
 
  private:

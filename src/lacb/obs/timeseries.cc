@@ -173,9 +173,4 @@ TimeSeries TimeSeriesSampler::Series() const {
   return out;
 }
 
-size_t TimeSeriesSampler::num_points() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return points_.size();
-}
-
 }  // namespace lacb::obs

@@ -99,7 +99,6 @@ class TimeSeriesSampler {
 
   /// \brief Copy of everything sampled so far (thread-safe).
   TimeSeries Series() const;
-  size_t num_points() const;
 
  private:
   void PeriodicLoop(const MetricRegistry* registry,

@@ -81,11 +81,6 @@ class ByteReader {
 
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
-  Status Skip(size_t n) {
-    LACB_RETURN_NOT_OK(Need(n));
-    pos_ += n;
-    return Status::OK();
-  }
 
  private:
   Status Need(uint64_t n) const {

@@ -9,6 +9,7 @@
 
 #include "lacb/common/rng.h"
 #include "lacb/common/stopwatch.h"
+#include "lacb/core/metrics.h"
 #include "lacb/matching/assignment.h"
 #include "lacb/obs/context.h"
 #include "lacb/persist/serializers.h"
@@ -1245,17 +1246,7 @@ void AssignmentService::RefreshStoreGauges() {
   std::sort(known.begin(), known.end());
   min_gauge.Set(known.front());
   median_gauge.Set(known[known.size() / 2]);
-  // Gini via the sorted-rank identity: G = 2·Σ i·x_i / (n·Σ x_i) − (n+1)/n.
-  double total = 0.0;
-  double weighted = 0.0;
-  for (size_t i = 0; i < known.size(); ++i) {
-    total += known[i];
-    weighted += static_cast<double>(i + 1) * known[i];
-  }
-  const double n = static_cast<double>(known.size());
-  gini_gauge.Set(total > 0.0
-                     ? (2.0 * weighted) / (n * total) - (n + 1.0) / n
-                     : 0.0);
+  gini_gauge.Set(core::GiniCoefficient(known));
 }
 
 void AssignmentService::RecordIncident(const char* /*kind*/) {

@@ -146,12 +146,10 @@ void WorkerSupervisor::PollOnce() {
       redrive_(std::move(*to_redrive));
     }
     if (crashed) {
-      crashes_.fetch_add(1, std::memory_order_relaxed);
       if (incident_) incident_("crash");
       restarts_.fetch_add(1, std::memory_order_relaxed);
       restart_(w);
     } else if (stalled) {
-      stalls_.fetch_add(1, std::memory_order_relaxed);
       if (incident_) incident_("stall");
     }
   }

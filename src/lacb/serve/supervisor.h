@@ -94,12 +94,6 @@ class WorkerSupervisor {
   /// \brief Workers currently stalled or crashed-awaiting-restart.
   size_t WorkersUnavailable() const;
   size_t num_workers() const { return slots_.size(); }
-  uint64_t stalls_detected() const {
-    return stalls_.load(std::memory_order_relaxed);
-  }
-  uint64_t crashes_detected() const {
-    return crashes_.load(std::memory_order_relaxed);
-  }
   uint64_t redrives() const { return redrives_.load(std::memory_order_relaxed); }
   uint64_t restarts() const { return restarts_.load(std::memory_order_relaxed); }
 
@@ -122,8 +116,6 @@ class WorkerSupervisor {
   IncidentFn incident_;
   std::vector<std::unique_ptr<Slot>> slots_;
 
-  std::atomic<uint64_t> stalls_{0};
-  std::atomic<uint64_t> crashes_{0};
   std::atomic<uint64_t> redrives_{0};
   std::atomic<uint64_t> restarts_{0};
 

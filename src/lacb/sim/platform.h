@@ -185,12 +185,6 @@ class Platform {
     return workloads_today_;
   }
 
-  /// \brief Ground-truth quality factor of broker `b` at workload `w`
-  /// (for oracle metrics; never exposed to policies by the engine).
-  double GroundTruthQuality(size_t b, double w) const {
-    return signup_model_.QualityFactor(brokers_[b], w);
-  }
-
   /// \brief Serializes all mutable environment state: the RNG stream,
   /// open-day ledger (workloads, committed edges, appeal overflow, the
   /// per-token external-commit cache) and per-broker rolled-forward

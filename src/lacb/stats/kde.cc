@@ -25,33 +25,6 @@ double GaussKernel(double u) {
 
 }  // namespace
 
-Result<GaussianKde1D> GaussianKde1D::Fit(const std::vector<double>& sample,
-                                         double bandwidth) {
-  if (sample.empty()) {
-    return Status::InvalidArgument("KDE requires a non-empty sample");
-  }
-  double bw = bandwidth > 0.0 ? bandwidth : SilvermanBandwidth(sample);
-  return GaussianKde1D(sample, bw);
-}
-
-double GaussianKde1D::Density(double x) const {
-  double sum = 0.0;
-  for (double s : sample_) sum += GaussKernel((x - s) / bandwidth_);
-  return sum / (static_cast<double>(sample_.size()) * bandwidth_);
-}
-
-std::vector<double> GaussianKde1D::DensityGrid(double lo, double hi,
-                                               size_t points) const {
-  std::vector<double> out;
-  if (points == 0) return out;
-  out.reserve(points);
-  double step = points > 1 ? (hi - lo) / static_cast<double>(points - 1) : 0.0;
-  for (size_t i = 0; i < points; ++i) {
-    out.push_back(Density(lo + step * static_cast<double>(i)));
-  }
-  return out;
-}
-
 Result<GaussianKde2D> GaussianKde2D::Fit(const std::vector<double>& xs,
                                          const std::vector<double>& ys,
                                          double bw_x, double bw_y) {

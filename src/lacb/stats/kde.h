@@ -1,9 +1,8 @@
-// Gaussian kernel density estimation, 1-D and 2-D.
+// 2-D Gaussian kernel density estimation.
 //
 // The paper's Fig. 3 fits a 2-D Gaussian KDE over (workload, sign-up rate)
 // observations per broker to visualize each broker's accustomed workload
-// region. We provide both the 1-D and 2-D estimators with Silverman's
-// rule-of-thumb bandwidth.
+// region, with Silverman's rule-of-thumb bandwidth per dimension.
 
 #ifndef LACB_STATS_KDE_H_
 #define LACB_STATS_KDE_H_
@@ -13,29 +12,6 @@
 #include "lacb/common/result.h"
 
 namespace lacb::stats {
-
-/// \brief 1-D Gaussian KDE over a fixed sample.
-class GaussianKde1D {
- public:
-  /// \brief Builds the estimator. `bandwidth <= 0` selects Silverman's rule.
-  static Result<GaussianKde1D> Fit(const std::vector<double>& sample,
-                                   double bandwidth = 0.0);
-
-  /// \brief Density estimate at x.
-  double Density(double x) const;
-
-  /// \brief Density evaluated on a uniform grid over [lo, hi].
-  std::vector<double> DensityGrid(double lo, double hi, size_t points) const;
-
-  double bandwidth() const { return bandwidth_; }
-
- private:
-  GaussianKde1D(std::vector<double> sample, double bandwidth)
-      : sample_(std::move(sample)), bandwidth_(bandwidth) {}
-
-  std::vector<double> sample_;
-  double bandwidth_;
-};
 
 /// \brief 2-D Gaussian KDE with a diagonal (product-kernel) bandwidth.
 class GaussianKde2D {

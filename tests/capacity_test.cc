@@ -1,5 +1,5 @@
 // Unit tests for lacb/capacity: the personalized (layer-transfer) estimator
-// pool and the empirical city-capacity knee detector.
+// pool.
 
 #include <cmath>
 
@@ -103,44 +103,6 @@ TEST(PersonalizedEstimatorTest, PersonalBanditsDivergeAcrossBrokers) {
   double final_a = pool->Estimate(0, ctx_a).value();
   double final_b = pool->Estimate(1, ctx_b).value();
   EXPECT_LE(final_a, final_b);
-}
-
-TEST(EmpiricalCapacityTest, DetectsKnee) {
-  // City-level scatter with a knee at 40 (the paper's Fig. 2 shape).
-  std::vector<double> w;
-  std::vector<double> s;
-  Rng rng(3);
-  for (int i = 0; i < 2000; ++i) {
-    double workload = rng.Uniform(1.0, 80.0);
-    double rate = workload <= 40.0 ? rng.Uniform(0.14, 0.27)
-                                   : rng.Uniform(0.02, 0.10);
-    w.push_back(workload);
-    s.push_back(rate);
-  }
-  auto knee = EstimateEmpiricalCapacity(w, s);
-  ASSERT_TRUE(knee.ok());
-  EXPECT_NEAR(*knee, 40.0, 8.0);
-}
-
-TEST(EmpiricalCapacityTest, NoKneeReportsMax) {
-  std::vector<double> w;
-  std::vector<double> s;
-  Rng rng(4);
-  for (int i = 0; i < 500; ++i) {
-    w.push_back(rng.Uniform(1.0, 50.0));
-    s.push_back(0.2);  // flat quality, never saturates
-  }
-  auto knee = EstimateEmpiricalCapacity(w, s);
-  ASSERT_TRUE(knee.ok());
-  EXPECT_NEAR(*knee, 50.0, 1.0);
-}
-
-TEST(EmpiricalCapacityTest, Validation) {
-  EXPECT_FALSE(EstimateEmpiricalCapacity({1.0}, {0.1}).ok());
-  EXPECT_FALSE(
-      EstimateEmpiricalCapacity({1, 2, 3, 4}, {1, 2, 3, 4}, 1.5).ok());
-  EXPECT_FALSE(
-      EstimateEmpiricalCapacity({0, 0, 0, 0}, {1, 1, 1, 1}).ok());
 }
 
 }  // namespace

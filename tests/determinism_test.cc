@@ -1,5 +1,5 @@
-// Determinism guarantees: every policy, the platform, the bandits, and the
-// GBDT learner produce bit-identical results for identical seeds. This is
+// Determinism guarantees: every policy, the platform and the bandits
+// produce bit-identical results for identical seeds. This is
 // load-bearing for the reproduction — every figure in EXPERIMENTS.md is
 // regenerable — and for Corollary-1 style paired comparisons.
 
@@ -7,7 +7,6 @@
 
 #include "lacb/core/engine.h"
 #include "lacb/core/policy_suite.h"
-#include "lacb/gbdt/booster.h"
 
 namespace lacb {
 namespace {
@@ -66,31 +65,6 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
   ASSERT_TRUE(run_a.ok());
   ASSERT_TRUE(run_b.ok());
   EXPECT_NE(run_a->total_utility, run_b->total_utility);
-}
-
-TEST(DeterminismTest, GbdtIsSeedDeterministic) {
-  Rng data_rng(9);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (int i = 0; i < 300; ++i) {
-    double a = data_rng.Uniform();
-    double b = data_rng.Uniform();
-    x.push_back({a, b});
-    y.push_back(a * b + 0.3 * a);
-  }
-  gbdt::BoosterConfig cfg;
-  cfg.num_rounds = 30;
-  cfg.subsample = 0.7;
-  cfg.seed = 17;
-  auto m1 = gbdt::Booster::Fit(x, y, cfg);
-  auto m2 = gbdt::Booster::Fit(x, y, cfg);
-  ASSERT_TRUE(m1.ok());
-  ASSERT_TRUE(m2.ok());
-  EXPECT_EQ(m1->num_trees(), m2->num_trees());
-  for (int i = 0; i < 20; ++i) {
-    std::vector<double> row = {i / 20.0, 1.0 - i / 20.0};
-    EXPECT_DOUBLE_EQ(m1->Predict(row).value(), m2->Predict(row).value());
-  }
 }
 
 TEST(DeterminismTest, PlatformTrialsIdenticalAcrossInstances) {

@@ -145,18 +145,6 @@ TEST(MetricsTest, GiniCoefficient) {
   EXPECT_DOUBLE_EQ(GiniCoefficient({0.0, 0.0}), 0.0);
 }
 
-TEST(MetricsTest, LorenzCurve) {
-  auto curve = LorenzCurve({1.0, 1.0, 1.0, 1.0}, 4);
-  ASSERT_EQ(curve.size(), 4u);
-  EXPECT_NEAR(curve[0], 0.25, 1e-12);
-  EXPECT_NEAR(curve[3], 1.0, 1e-12);
-  // Concentrated distribution bows below the diagonal.
-  auto skewed = LorenzCurve({0.0, 0.0, 0.0, 10.0}, 4);
-  EXPECT_NEAR(skewed[2], 0.0, 1e-12);
-  EXPECT_NEAR(skewed[3], 1.0, 1e-12);
-  EXPECT_TRUE(LorenzCurve({}, 4).empty());
-}
-
 TEST(MetricsTest, TopNAndRatios) {
   std::vector<double> v = {5.0, 1.0, 3.0, 2.0};
   auto top2 = TopNDescending(v, 2);

@@ -1,5 +1,5 @@
-// Tests for the extension modules: Thompson sampling, Pearson/Spearman
-// correlation, trace I/O, and the Greedy / Flow policies.
+// Tests for the extension modules: trace I/O and the Greedy / Flow
+// policies.
 
 #include <bit>
 #include <cstdint>
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "lacb/bandit/thompson.h"
 #include "lacb/core/engine.h"
 #include "lacb/core/policy_suite.h"
 #include "lacb/persist/bytes.h"
@@ -18,75 +17,9 @@
 #include "lacb/policy/flow_policy.h"
 #include "lacb/policy/greedy_policy.h"
 #include "lacb/sim/trace_io.h"
-#include "lacb/stats/correlation.h"
 
 namespace lacb {
 namespace {
-
-// --------------------------- LinearThompson -------------------------------
-
-TEST(LinearThompsonTest, CreateValidation) {
-  bandit::LinearThompsonConfig c;
-  EXPECT_FALSE(bandit::LinearThompson::Create(c).ok());
-  c.arm_values = {1.0};
-  c.context_dim = 0;
-  EXPECT_FALSE(bandit::LinearThompson::Create(c).ok());
-  c.context_dim = 2;
-  c.posterior_scale = -1.0;
-  EXPECT_FALSE(bandit::LinearThompson::Create(c).ok());
-}
-
-TEST(LinearThompsonTest, ConvergesOnLinearReward) {
-  bandit::LinearThompsonConfig c;
-  c.arm_values = {0.0, 1.0, 2.0};
-  c.context_dim = 1;
-  c.posterior_scale = 0.3;
-  c.seed = 3;
-  auto b = bandit::LinearThompson::Create(c);
-  ASSERT_TRUE(b.ok());
-  Rng rng(4);
-  size_t best_picks = 0;
-  for (int t = 0; t < 400; ++t) {
-    bandit::Vector ctx = {rng.Uniform()};
-    double v = b->SelectValue(ctx).value();
-    double reward = 0.5 - 0.2 * v + rng.Normal(0.0, 0.01);  // best arm: 0
-    ASSERT_TRUE(b->Observe(ctx, v, reward).ok());
-    if (t >= 200 && v == 0.0) ++best_picks;
-  }
-  EXPECT_GT(best_picks, 150u);
-  // Mean prediction reflects the fitted model.
-  EXPECT_GT(b->PredictReward({0.5}, 0.0).value(),
-            b->PredictReward({0.5}, 2.0).value());
-}
-
-// ----------------------------- Correlation --------------------------------
-
-TEST(CorrelationTest, PearsonKnownValues) {
-  EXPECT_NEAR(
-      stats::PearsonCorrelation({1, 2, 3, 4}, {2, 4, 6, 8}).value(), 1.0,
-      1e-12);
-  EXPECT_NEAR(
-      stats::PearsonCorrelation({1, 2, 3, 4}, {8, 6, 4, 2}).value(), -1.0,
-      1e-12);
-  EXPECT_FALSE(stats::PearsonCorrelation({1, 1}, {2, 3}).ok());
-  EXPECT_FALSE(stats::PearsonCorrelation({1}, {2}).ok());
-}
-
-TEST(CorrelationTest, SpearmanMonotoneNonlinear) {
-  // Monotone but non-linear: Spearman is exactly 1, Pearson is below 1.
-  std::vector<double> xs = {1, 2, 3, 4, 5};
-  std::vector<double> ys = {1, 8, 27, 64, 125};
-  EXPECT_NEAR(stats::SpearmanCorrelation(xs, ys).value(), 1.0, 1e-12);
-  EXPECT_LT(stats::PearsonCorrelation(xs, ys).value(), 1.0);
-}
-
-TEST(CorrelationTest, AverageRanksTies) {
-  auto ranks = stats::AverageRanks({10.0, 20.0, 20.0, 30.0});
-  EXPECT_DOUBLE_EQ(ranks[0], 1.0);
-  EXPECT_DOUBLE_EQ(ranks[1], 2.5);
-  EXPECT_DOUBLE_EQ(ranks[2], 2.5);
-  EXPECT_DOUBLE_EQ(ranks[3], 4.0);
-}
 
 // ------------------------------ Trace I/O ---------------------------------
 

@@ -92,8 +92,10 @@ TEST(MlpTest, ParamGradientMatchesFiniteDifference) {
   ASSERT_TRUE(net.ok());
   SetSmoothParams(&*net);
   la::Vector x = {0.7, -0.2, 0.4};
-  auto grad = net->ParamGradient(x);
-  ASSERT_TRUE(grad.ok());
+  la::Vector outputs;
+  std::vector<la::Vector> grads;
+  ASSERT_TRUE(net->OutputGradients({x}, &outputs, &grads).ok());
+  const la::Vector& grad = grads[0];
   la::Vector params = net->params();
   const double eps = 1e-6;
   for (size_t i = 0; i < params.size(); i += 3) {  // spot-check every 3rd
@@ -106,7 +108,7 @@ TEST(MlpTest, ParamGradientMatchesFiniteDifference) {
     double down = net->Forward(x).value();
     ASSERT_TRUE(net->SetParams(params).ok());
     double fd = (up - down) / (2 * eps);
-    EXPECT_NEAR((*grad)[i], fd, 1e-4) << "param " << i;
+    EXPECT_NEAR(grad[i], fd, 1e-4) << "param " << i;
   }
 }
 
@@ -440,8 +442,12 @@ TEST_P(MlpKernelTest, ForwardAndParamGradientMatchReferenceBytes) {
         EXPECT_TRUE(SameBytes(outputs[k], want_out)) << "input " << k;
         EXPECT_TRUE(SameBytes(grads[k], want_grad)) << "input " << k;
         EXPECT_TRUE(SameBytes(net->Forward(inputs[k]).value(), want_out));
-        EXPECT_TRUE(
-            SameBytes(net->ParamGradient(inputs[k]).value(), want_grad));
+        la::Vector one_output;
+        std::vector<la::Vector> one_grad;
+        ASSERT_TRUE(
+            net->OutputGradients({inputs[k]}, &one_output, &one_grad).ok());
+        EXPECT_TRUE(SameBytes(one_output[0], want_out));
+        EXPECT_TRUE(SameBytes(one_grad[0], want_grad));
       }
     }
   }

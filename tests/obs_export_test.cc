@@ -504,6 +504,23 @@ TEST(ExpositionServerTest, AssignmentServiceStartsListenerFromOptions) {
   EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("serve_submitted"), std::string::npos);
   EXPECT_NE(metrics.find("serve_queue_depth"), std::string::npos);
+
+  // Scrape-time store gauges over a known residual vector: no work is
+  // committed, so the residuals are the installed capacities, and brokers
+  // left at 0 (unknown) are excluded.
+  std::vector<double> capacities(cfg.num_brokers, 0.0);
+  capacities[3] = 5.0;
+  capacities[7] = 1.0;
+  capacities[11] = 2.0;
+  service.value()->SetStoreCapacities(capacities);
+  ASSERT_NE(HttpGet(port, "/metrics").find("serve_store_residual_gini"),
+            std::string::npos);
+  obs::MetricsSnapshot snap = telemetry.registry().Snapshot();
+  EXPECT_DOUBLE_EQ(snap.gauges.at("serve.store.residual_min"), 1.0);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("serve.store.residual_median"), 2.0);
+  // Mean absolute difference over all ordered pairs of {1, 2, 5}, divided
+  // by twice the mean: 16 / 9 / (2 · 8 / 3) = 1/3.
+  EXPECT_NEAR(snap.gauges.at("serve.store.residual_gini"), 1.0 / 3.0, 1e-12);
   service.value()->Shutdown();
 }
 

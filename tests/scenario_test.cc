@@ -21,7 +21,7 @@
 #include "lacb/obs/obs.h"
 #include "lacb/persist/bytes.h"
 #include "lacb/policy/capacity_stage.h"
-#include "lacb/policy/lacb_policy.h"
+#include "lacb/policy/flow_policy.h"
 #include "lacb/scenario/engine.h"
 #include "lacb/scenario/runner.h"
 #include "lacb/scenario/spec.h"
@@ -394,7 +394,26 @@ TEST(ScenarioChurnTest, FailVoidsTheBrokersDayButNotConservation) {
   EXPECT_GT(baseline->run.total_utility, run->run.total_utility);
 }
 
-TEST(ScenarioChurnTest, ColdJoinerTakesWorkAndReEstimatesCapacity) {
+// Every policy that takes a joiner's cold-start prior through its capacity
+// stage: LACB-Opt and AN from the suite, and the Flow extension.
+Result<std::unique_ptr<policy::AssignmentPolicy>> MakeCapacityStagePolicy(
+    const std::string& name, const sim::DatasetConfig& cfg) {
+  core::PolicySuiteConfig suite;
+  suite.seed = 55;
+  if (name == "Flow") {
+    policy::FlowPolicyConfig flow;
+    flow.estimator.bandit = core::DefaultBanditConfig(cfg, suite.seed + 7);
+    LACB_ASSIGN_OR_RETURN(std::unique_ptr<policy::FlowPolicy> p,
+                          policy::FlowPolicy::Create(flow));
+    return std::unique_ptr<policy::AssignmentPolicy>(std::move(p));
+  }
+  // Suite order: AN is index 6, LACB-Opt index 8.
+  return core::MakeSuitePolicy(cfg, suite, name == "AN" ? 6 : 8);
+}
+
+class ScenarioColdJoinTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ScenarioColdJoinTest, ColdJoinerTakesWorkAndReEstimatesCapacity) {
   sim::DatasetConfig cfg = TinyConfig();
   cfg.num_days = 4;
   cfg.num_requests = 480;
@@ -415,12 +434,8 @@ TEST(ScenarioChurnTest, ColdJoinerTakesWorkAndReEstimatesCapacity) {
   join.cold_capacity = kTinyPrior;
   spec.churn.push_back(join);
 
-  core::PolicySuiteConfig suite;
-  suite.seed = 55;
-  auto policy = core::MakeSuitePolicy(cfg, suite, 8);  // LACB-Opt
-  ASSERT_TRUE(policy.ok());
-  auto* lacb = dynamic_cast<policy::LacbPolicy*>(policy->get());
-  ASSERT_NE(lacb, nullptr);
+  auto policy = MakeCapacityStagePolicy(GetParam(), cfg);
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
 
   auto run =
       scenario::RunPolicyScenario(cfg, policy->get(), Compiled(spec, cfg));
@@ -434,11 +449,16 @@ TEST(ScenarioChurnTest, ColdJoinerTakesWorkAndReEstimatesCapacity) {
   // Convergence: by the final BeginDay the bandit has replaced the cold
   // prior with its own estimate, which moved up toward the broker's true
   // capacity (the prior was far below any real knee).
-  const std::vector<double>& capacities =
-      lacb->capacity_stage()->capacities();
+  const policy::CapacityStage* stage = (*policy)->capacity_stage();
+  ASSERT_NE(stage, nullptr);
+  const std::vector<double>& capacities = stage->capacities();
   ASSERT_EQ(capacities.size(), cfg.num_brokers);
   EXPECT_GT(capacities[joiner], kTinyPrior);
 }
+
+INSTANTIATE_TEST_SUITE_P(CapacityStagePolicies, ScenarioColdJoinTest,
+                         ::testing::Values("LacbOpt", "AN", "Flow"),
+                         [](const auto& info) { return info.param; });
 
 TEST(ScenarioPlatformTest, ActivityMaskSurvivesSaveLoad) {
   sim::DatasetConfig cfg = TinyConfig();

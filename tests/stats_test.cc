@@ -149,38 +149,6 @@ TEST(WelchTest, RejectsDegenerateInput) {
   EXPECT_FALSE(WelchTTest({1.0, 1.0}, {2.0, 2.0}).ok());  // zero variance
 }
 
-TEST(Kde1DTest, IntegratesToOne) {
-  Rng rng(5);
-  std::vector<double> sample;
-  for (int i = 0; i < 200; ++i) sample.push_back(rng.Normal(0.0, 1.0));
-  auto kde = GaussianKde1D::Fit(sample);
-  ASSERT_TRUE(kde.ok());
-  double integral = 0.0;
-  double lo = -6.0, hi = 6.0;
-  int steps = 600;
-  double dx = (hi - lo) / steps;
-  for (int i = 0; i < steps; ++i) {
-    integral += kde->Density(lo + (i + 0.5) * dx) * dx;
-  }
-  EXPECT_NEAR(integral, 1.0, 0.02);
-}
-
-TEST(Kde1DTest, PeaksNearSampleMode) {
-  std::vector<double> sample(50, 3.0);
-  auto kde = GaussianKde1D::Fit(sample, 0.5);
-  ASSERT_TRUE(kde.ok());
-  EXPECT_GT(kde->Density(3.0), kde->Density(1.0));
-  EXPECT_GT(kde->Density(3.0), kde->Density(5.0));
-}
-
-TEST(Kde1DTest, RejectsEmptySampleAndGridWorks) {
-  EXPECT_FALSE(GaussianKde1D::Fit({}).ok());
-  auto kde = GaussianKde1D::Fit({0.0, 1.0});
-  ASSERT_TRUE(kde.ok());
-  EXPECT_EQ(kde->DensityGrid(0.0, 1.0, 11).size(), 11u);
-  EXPECT_TRUE(kde->DensityGrid(0.0, 1.0, 0).empty());
-}
-
 TEST(Kde2DTest, ModeNearDataCenter) {
   Rng rng(6);
   std::vector<double> xs;
@@ -194,6 +162,30 @@ TEST(Kde2DTest, ModeNearDataCenter) {
   auto mode = kde->FindMode(0.0, 40.0, 0.0, 0.5, 60);
   EXPECT_NEAR(mode.x, 15.0, 2.0);
   EXPECT_NEAR(mode.y, 0.22, 0.05);
+}
+
+TEST(Kde2DTest, IntegratesToOne) {
+  Rng rng(5);
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (int i = 0; i < 100; ++i) {
+    xs.push_back(rng.Normal(0.0, 1.0));
+    ys.push_back(rng.Normal(0.0, 2.0));
+  }
+  auto kde = GaussianKde2D::Fit(xs, ys);  // Silverman bandwidths
+  ASSERT_TRUE(kde.ok());
+  EXPECT_GT(kde->bandwidth_y(), kde->bandwidth_x());
+  double integral = 0.0;
+  int steps = 120;
+  double dx = 12.0 / steps;
+  double dy = 24.0 / steps;
+  for (int i = 0; i < steps; ++i) {
+    for (int j = 0; j < steps; ++j) {
+      integral += kde->Density(-6.0 + (i + 0.5) * dx, -12.0 + (j + 0.5) * dy) *
+                  dx * dy;
+    }
+  }
+  EXPECT_NEAR(integral, 1.0, 0.02);
 }
 
 TEST(Kde2DTest, RejectsMismatchedSamples) {
